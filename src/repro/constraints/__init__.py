@@ -11,7 +11,8 @@ Every constraint implements two evaluation paths:
 :class:`ConstraintSet` bundles the constraints implied by an
 (infrastructure, request) pair and exposes feasibility tests, total
 violation counts and per-constraint breakdowns — the quantities behind
-the paper's Figure 10.
+the paper's Figure 10.  :func:`group_violations` is the same group-rule
+count for one group at a time, for the move-by-move layers.
 """
 
 from repro.constraints.base import Constraint
@@ -27,6 +28,7 @@ from repro.constraints.anti_affinity import (
 )
 from repro.constraints.load_cap import LoadCapConstraint
 from repro.constraints.registry import ConstraintSet, make_group_constraint
+from repro.constraints.rules import RULE_CODE, group_violations
 
 __all__ = [
     "Constraint",
@@ -39,4 +41,6 @@ __all__ = [
     "LoadCapConstraint",
     "ConstraintSet",
     "make_group_constraint",
+    "RULE_CODE",
+    "group_violations",
 ]

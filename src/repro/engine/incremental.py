@@ -27,13 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.constraints.rules import RULE_CODE, group_violations
 from repro.engine.kernels import active_kernel
 from repro.errors import ValidationError
 from repro.model.placement import UNPLACED
 from repro.objectives.aggregate import aggregate_scalar
 from repro.objectives.qos import loads_from_usage, qos_from_load
 from repro.telemetry import get_registry
-from repro.types import FloatArray, IntArray, PlacementRule
+from repro.types import FloatArray, IntArray
 from repro.utils.scatter import scatter_rows, scatter_values
 
 __all__ = [
@@ -272,6 +273,8 @@ class IncrementalEvaluator:
         self._ml_list = np.asarray(infra.max_load, dtype=np.float64).tolist()
         self._mq_list = np.asarray(infra.max_qos, dtype=np.float64).tolist()
         self._base_list = self._base.tolist()
+        self._rule_codes = [RULE_CODE[rule] for rule in compiled.group_rules]
+        self._dc_list = compiled.server_datacenter.tolist()
         self._cq_list = np.asarray(
             compiled.qos_guarantee, dtype=np.float64
         ).tolist()
@@ -339,8 +342,10 @@ class IncrementalEvaluator:
 
         self._group_viol = np.array(
             [
-                self._group_violations(gi, self.assignment[members])
-                for gi, members in enumerate(compiled.group_members)
+                group_violations(
+                    code, self.assignment[members].tolist(), self._dc_list
+                )
+                for code, members in zip(self._rule_codes, compiled.group_members)
             ],
             dtype=np.int64,
         )
@@ -422,23 +427,6 @@ class IncrementalEvaluator:
     # ------------------------------------------------------------------
     # Pieces
     # ------------------------------------------------------------------
-    def _group_violations(self, gi: int, genes: IntArray) -> int:
-        """Violation count of one group given its member genes —
-        semantics identical to the constraint classes."""
-        placed = genes[genes != UNPLACED]
-        if placed.size <= 1:
-            return 0
-        rule = self.compiled.group_rules[gi]
-        if rule is PlacementRule.SAME_SERVER:
-            return int(np.unique(placed).size - 1)
-        if rule is PlacementRule.SAME_DATACENTER:
-            dcs = self.compiled.server_datacenter[placed]
-            return int(np.unique(dcs).size - 1)
-        if rule is PlacementRule.DIFFERENT_SERVERS:
-            return int(placed.size - np.unique(placed).size)
-        dcs = self.compiled.server_datacenter[placed]
-        return int(placed.size - np.unique(dcs).size)
-
     def _min_qos(self, usage: FloatArray) -> FloatArray:
         """Worst-attribute QoS per server for a (m, h) usage array."""
         infra = self.compiled.infrastructure
@@ -589,9 +577,9 @@ class IncrementalEvaluator:
 
         # Groups containing the VM: recount with the candidate gene.
         for gi, pos in compiled.vm_group_slots[vm]:
-            genes = self.assignment[compiled.group_members[gi]].copy()
+            genes = self.assignment[compiled.group_members[gi]].tolist()
             genes[pos] = new
-            viol = self._group_violations(gi, genes)
+            viol = group_violations(self._rule_codes[gi], genes, self._dc_list)
             d.group_viol[gi] = viol
             d.group_total += viol - int(self._group_viol[gi])
 

@@ -15,10 +15,17 @@ from collections import OrderedDict
 
 import numpy as np
 
+from repro.constraints.rules import (
+    DIFFERENT_DATACENTERS,
+    DIFFERENT_SERVERS,
+    RULE_CODE,
+    SAME_DATACENTER,
+    SAME_SERVER,
+)
 from repro.errors import ValidationError
 from repro.model.infrastructure import Infrastructure
 from repro.model.request import Request
-from repro.types import BoolArray, FloatArray, IntArray, PlacementRule
+from repro.types import BoolArray, FloatArray, IntArray
 
 __all__ = ["TabuList", "NeighborFinder"]
 
@@ -108,6 +115,9 @@ class NeighborFinder:
         if base_usage is not None:
             limit = limit - np.asarray(base_usage, dtype=np.float64)
         self.limit = limit
+        # Per-VM capacity test operand ``demand - 1e-9``, computed once
+        # (elementwise, so the same floats as a per-call subtraction).
+        self._need = request.demand - 1e-9
         # Group membership index: for each VM, the groups it belongs to.
         if compiled is not None:
             self._groups_of_vm: list[list[int]] = [
@@ -118,6 +128,12 @@ class NeighborFinder:
             for gi, group in enumerate(request.groups):
                 for member in group.members:
                     self._groups_of_vm[member].append(gi)
+        # Hot-path tables, hoisted out of the per-query loops.
+        self._members = [list(group.members) for group in request.groups]
+        self._rule_codes = [RULE_CODE[group.rule] for group in request.groups]
+        self._dc_of = infrastructure.server_datacenter
+        self._m = infrastructure.m
+        self._g = infrastructure.g
         self._no_groups_mask = np.ones(infrastructure.m, dtype=bool)
         self._no_groups_mask.setflags(write=False)
 
@@ -149,35 +165,30 @@ class NeighborFinder:
         groups = self._groups_of_vm[vm]
         if not groups:
             return self._no_groups_mask
-        infra = self.infrastructure
-        mask = np.ones(infra.m, dtype=bool)
-        dc_of = infra.server_datacenter
+        m, dc_of = self._m, self._dc_of
+        mask = np.ones(m, dtype=bool)
         for gi in groups:
-            group = self.request.groups[gi]
-            placed = [
-                int(assignment[k])
-                for k in group.members
-                if k != vm and assignment[k] >= 0
-            ]
+            genes = [assignment[k] for k in self._members[gi] if k != vm]
+            placed = [s for s in genes if s >= 0]
             if not placed:
                 continue
-            rule = group.rule
-            if rule is PlacementRule.SAME_SERVER:
+            code = self._rule_codes[gi]
+            if code == SAME_SERVER:
                 # Any current member server is progress: joining one
                 # strictly reduces the distinct-location count, and the
                 # capacity mask steers the group toward a member server
                 # that actually has room.
-                allowed = np.zeros(infra.m, dtype=bool)
+                allowed = np.zeros(m, dtype=bool)
                 allowed[placed] = True
                 mask &= allowed
-            elif rule is PlacementRule.SAME_DATACENTER:
-                allowed = np.zeros(infra.g, dtype=bool)
+            elif code == SAME_DATACENTER:
+                allowed = np.zeros(self._g, dtype=bool)
                 allowed[dc_of[placed]] = True
                 mask &= allowed[dc_of]
-            elif rule is PlacementRule.DIFFERENT_SERVERS:
+            elif code == DIFFERENT_SERVERS:
                 mask[placed] = False
-            elif rule is PlacementRule.DIFFERENT_DATACENTERS:
-                used = np.zeros(infra.g, dtype=bool)
+            elif code == DIFFERENT_DATACENTERS:
+                used = np.zeros(self._g, dtype=bool)
                 used[dc_of[placed]] = True
                 mask &= ~used[dc_of]
         return mask
@@ -191,6 +202,8 @@ class NeighborFinder:
         tabu: TabuList | None = None,
         order: str = "first",
         rng: np.random.Generator | None = None,
+        *,
+        residual: FloatArray | None = None,
     ) -> int | None:
         """The Fig. 6 scan: the first (or best) valid server for ``vm``.
 
@@ -202,12 +215,24 @@ class NeighborFinder:
             headroom after the move (tighter packing);
             ``"random"`` — a uniformly random valid server.
 
+        residual:
+            ``limit - usage``, when the caller maintains it (the repair
+            walk does, row by row); the capacity test is then one
+            compare-and-reduce with no (m, h) temporary, and ``usage``
+            is not read.  Computed from ``usage`` when omitted.
+
+        ``assignment`` may be an int array or a list of server ids.
+
         Returns
         -------
         A server id, or None when no valid allocation exists
         (``findNeighbor`` falls through its loop).
         """
-        valid = self.capacity_mask(usage, assignment, vm)
+        if residual is None:
+            residual = self.limit - usage
+        # The VM's current host is excluded below, so its own demand
+        # need not be credited back as :meth:`capacity_mask` does.
+        valid = (residual >= self._need[vm]).all(axis=1)
         valid &= self.affinity_mask(assignment, vm)
         current = int(assignment[vm])
         if current >= 0:
@@ -215,14 +240,14 @@ class NeighborFinder:
         if tabu is not None:
             for server in tabu.forbidden_servers(vm):
                 valid[server] = False
-        candidates = np.flatnonzero(valid)
+        candidates = valid.nonzero()[0]
         if candidates.size == 0:
             return None
         if order == "first":
             return int(candidates[0])
         if order == "best_fit":
             demand = self.request.demand[vm]
-            headroom = (self.limit - usage)[candidates] - demand
+            headroom = residual[candidates] - demand
             slack = headroom.sum(axis=1)
             return int(candidates[np.argmin(slack)])
         if order == "random":

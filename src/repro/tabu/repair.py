@@ -14,6 +14,10 @@ where cost and rejection rate are the next to naught") — the state
 returned is the one minimizing (violations, usage-cost) lexicographic
 distance to the ideal: zero violations first, cheapest placement among
 equals.
+
+Each genome's walk runs on a :class:`RepairState` that is updated per
+move rather than recounted; every comparison it feeds sees the floats a
+from-scratch recount would.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import time
 import numpy as np
 
 from repro.constraints.registry import ConstraintSet
+from repro.constraints.rules import group_violations
 from repro.engine.kernels import active_kernel
 from repro.engine.parallel import RepairParams
 from repro.errors import ValidationError
@@ -33,7 +38,95 @@ from repro.telemetry import RepairInvoked, get_bus, get_registry
 from repro.types import FloatArray, IntArray
 from repro.utils.rng import as_generator, derive_sequence, root_sequence
 
-__all__ = ["TabuRepair"]
+__all__ = ["RepairState", "TabuRepair"]
+
+
+class RepairState:
+    """One genome's repair walk, kept current move by move.
+
+    Holds the assignment (an int array for the cost sum and the
+    returned plan, a list for scalar reads), the usage matrix, the
+    residual ``limit - usage``, each server's count of attributes over
+    threshold and each group's violation count.  :meth:`move` updates
+    usage with the walk's own float operations and recounts only the
+    two touched servers and the moved VM's groups, so every reader sees
+    the bits a from-scratch recount would.
+
+    ``assignment`` and ``usage`` are owned (mutated in place).
+    """
+
+    def __init__(
+        self, repair: TabuRepair, assignment: IntArray, usage: FloatArray
+    ) -> None:
+        self._repair = repair
+        finder = repair.finder
+        self.assignment = assignment
+        self.genes: list[int] = assignment.tolist()
+        self.usage = usage
+        self.residual = finder.limit - usage
+        self.over: list[int] = np.count_nonzero(
+            usage > repair._threshold, axis=1
+        ).tolist()
+        self.group_viol: list[int] = [
+            self._count_group(gi) for gi in range(len(finder._members))
+        ]
+
+    def _count_group(self, gi: int) -> int:
+        finder, genes = self._repair.finder, self.genes
+        return group_violations(
+            finder._rule_codes[gi],
+            [genes[k] for k in finder._members[gi]],
+            self._repair._dc_list,
+        )
+
+    # -- readers ---------------------------------------------------------
+    def faulty_vms(self) -> IntArray:
+        """VMs that must move: hosted on an overloaded server, or member
+        of a violated affinity/anti-affinity group (Fig. 5, line 2)."""
+        # One flag per server, plus a trailing False that UNPLACED (-1)
+        # genes index.
+        overloaded = np.zeros(len(self.over) + 1, dtype=bool)
+        overloaded[:-1] = self.over
+        faulty = overloaded[self.assignment]
+        members = self._repair.finder._members
+        for gi, violations in enumerate(self.group_viol):
+            if violations:
+                faulty[members[gi]] = True
+        return np.flatnonzero(faulty)
+
+    def still_faulty(self, vm: int) -> bool:
+        """Whether ``vm`` still sits on an overloaded server or in a
+        violated group."""
+        if self.over[self.genes[vm]]:
+            return True
+        group_viol = self.group_viol
+        return any(group_viol[gi] for gi in self._repair.finder._groups_of_vm[vm])
+
+    def score(self) -> tuple[int, float]:
+        """(violations, usage cost) — the lexicographic ideal-point key."""
+        assignment = self.assignment
+        cost = float(self._repair._cost_rate[assignment[assignment >= 0]].sum())
+        return sum(self.over) + sum(self.group_viol), cost
+
+    # -- update ----------------------------------------------------------
+    def move(self, vm: int, target: int) -> int:
+        """Re-host ``vm`` on ``target``; returns the server it left."""
+        repair = self._repair
+        old = self.genes[vm]
+        demand = repair.request.demand[vm]
+        usage = self.usage
+        usage[old] -= demand
+        usage[target] += demand
+        self.assignment[vm] = target
+        self.genes[vm] = target
+        limit, threshold = repair.finder.limit, repair._threshold
+        for server in (old, target):
+            row = usage[server]
+            np.subtract(limit[server], row, out=self.residual[server])
+            self.over[server] = int(np.count_nonzero(row > threshold[server]))
+        for gi in repair.finder._groups_of_vm[vm]:
+            self.group_viol[gi] = self._count_group(gi)
+        return old
 
 
 class TabuRepair:
@@ -114,6 +207,12 @@ class TabuRepair:
             if compiled is not None
             else infrastructure.operating_cost + infrastructure.usage_cost
         )
+        # Walk tables, hoisted out of the per-genome state.
+        self._threshold = self.constraints.capacity._threshold
+        self._dc_list = infrastructure.server_datacenter.tolist()
+        self._grouped = np.zeros(request.n, dtype=bool)
+        for group in request.groups:
+            self._grouped[list(group.members)] = True
         self.repaired_individuals = 0
         self.moves_performed = 0
         #: Optional wall-clock cutoff (``time.perf_counter`` stamp) set
@@ -156,75 +255,8 @@ class TabuRepair:
         self.moves_performed = int(state.get("moves_performed", 0))
 
     # ------------------------------------------------------------------
-    # Fast fault/score paths.  These reuse the usage matrix the repair
-    # loop maintains incrementally, and use Python sets for the tiny
-    # member-server collections (np.unique on 2-8 element arrays is the
-    # profiler-measured bottleneck otherwise).
-    # ------------------------------------------------------------------
-    def _group_violations(self, assignment: IntArray, group) -> int:
-        dc_of = self.infrastructure.server_datacenter
-        genes = [int(assignment[k]) for k in group.members if assignment[k] >= 0]
-        if len(genes) <= 1:
-            return 0
-        rule = group.rule
-        if rule.value == "same_server":
-            return len(set(genes)) - 1
-        if rule.value == "same_datacenter":
-            return len({int(dc_of[j]) for j in genes}) - 1
-        if rule.value == "different_servers":
-            return len(genes) - len(set(genes))
-        return len(genes) - len({int(dc_of[j]) for j in genes})
-
-    def _overloaded_servers(self, usage: FloatArray) -> IntArray:
-        capacity = self.constraints.capacity
-        over = usage > capacity._threshold
-        return np.flatnonzero(over.any(axis=1)).astype(np.int64)
-
-    def _faulty_vms(self, assignment: IntArray, usage: FloatArray) -> IntArray:
-        """VMs that must move: hosted on an overloaded server, or member
-        of a violated affinity/anti-affinity group (Fig. 5, line 2)."""
-        offenders = self._overloaded_servers(usage)
-        faulty = np.zeros(self.request.n, dtype=bool)
-        if offenders.size:
-            faulty |= np.isin(assignment, offenders)
-        for group in self.request.groups:
-            if self._group_violations(assignment, group) > 0:
-                faulty[list(group.members)] = True
-        return np.flatnonzero(faulty).astype(np.int64)
-
-    def _still_faulty(
-        self, vm: int, assignment: IntArray, usage: FloatArray
-    ) -> bool:
-        """Re-check one VM against the *current* state: earlier moves in
-        the same round may already have fixed its server or group, in
-        which case moving it too would overshoot (drain a server that
-        now fits, or split a group that just converged)."""
-        server = int(assignment[vm])
-        capacity = self.constraints.capacity
-        if np.any(usage[server] > capacity._threshold[server]):
-            return True
-        for gi in self.finder._groups_of_vm[vm]:
-            if self._group_violations(assignment, self.request.groups[gi]) > 0:
-                return True
-        return False
-
-    def _score(
-        self, assignment: IntArray, usage: FloatArray
-    ) -> tuple[int, float]:
-        """(violations, usage cost) — the lexicographic ideal-point key."""
-        capacity = self.constraints.capacity
-        violations = int(np.count_nonzero(usage > capacity._threshold))
-        for group in self.request.groups:
-            violations += self._group_violations(assignment, group)
-        cost = float(self._cost_rate[assignment[assignment >= 0]].sum())
-        return violations, cost
-
     def _least_overflow_move(
-        self,
-        usage: FloatArray,
-        assignment: IntArray,
-        vm: int,
-        tabu: TabuList,
+        self, state: RepairState, vm: int, tabu: TabuList
     ) -> int | None:
         """Worsening-tolerant tabu move: when no strictly valid server
         exists, relocate to the server that adds the least capacity
@@ -234,17 +266,18 @@ class TabuRepair:
         best-state tracking in :meth:`repair_genome`)."""
         demand = self.request.demand[vm]
         limit = self.finder.limit
+        usage = state.usage
         # Overflow added on each prospective target.
         after = np.maximum(0.0, usage + demand[None, :] - limit)
         before = np.maximum(0.0, usage - limit)
         added = (after - before).sum(axis=1)
         candidates = np.ones(limit.shape[0], dtype=bool)
-        candidates[assignment[vm]] = False
+        candidates[state.genes[vm]] = False
         for server in tabu.forbidden_servers(vm):
             candidates[server] = False
         if not candidates.any():
             return None
-        affinity_ok = self.finder.affinity_mask(assignment, vm) & candidates
+        affinity_ok = self.finder.affinity_mask(state.genes, vm) & candidates
         pool = affinity_ok if affinity_ok.any() else candidates
         idx = np.flatnonzero(pool)
         return int(idx[np.argmin(added[idx])])
@@ -286,56 +319,49 @@ class TabuRepair:
             usage = self.constraints.capacity.server_usage(assignment)
         else:
             usage = np.array(usage, dtype=np.float64)  # owned, mutated below
+        state = RepairState(self, assignment, usage)
         best = assignment.copy()
-        best_score = self._score(assignment, usage)
+        best_score = state.score()
         stall_rounds = 0
-
-        grouped = np.zeros(self.request.n, dtype=bool)
-        for group in self.request.groups:
-            grouped[list(group.members)] = True
 
         for _ in range(self.max_rounds):
             if self._deadline_passed():
                 break
-            faulty = self._faulty_vms(assignment, usage)
+            faulty = state.faulty_vms()
             if faulty.size == 0:
                 break
             # Shuffle, then visit ungrouped VMs first: moving them never
             # perturbs an affinity rule, so capacity pressure drains off
             # overloaded servers without collateral group damage.
             rng.shuffle(faulty)
-            faulty = faulty[np.argsort(grouped[faulty], kind="stable")]
+            faulty = faulty[np.argsort(self._grouped[faulty], kind="stable")]
             moved_any = False
-            for scanned, vm in enumerate(faulty):
+            for scanned, vm in enumerate(faulty.tolist()):
                 # The round itself can be long on big instances; re-check
                 # the budget every few dozen candidate moves.
                 if scanned % 32 == 31 and self._deadline_passed():
                     break
-                if not self._still_faulty(int(vm), assignment, usage):
+                # Earlier moves in this round may already have fixed the
+                # VM's server or group; moving it too would overshoot.
+                if not state.still_faulty(vm):
                     continue
                 target = self.finder.find(
-                    usage,
-                    assignment,
-                    int(vm),
+                    state.usage,
+                    state.genes,
+                    vm,
                     tabu=tabu,
                     order=self.order,
                     rng=rng,
+                    residual=state.residual,
                 )
                 if target is None and self.allow_worsening_moves:
-                    target = self._least_overflow_move(
-                        usage, assignment, int(vm), tabu
-                    )
+                    target = self._least_overflow_move(state, vm, tabu)
                 if target is None:
                     continue  # findNeighbor fell through: leave the gene
-                old = int(assignment[vm])
-                demand = self.request.demand[vm]
-                usage[old] -= demand
-                usage[target] += demand
-                assignment[vm] = target
-                tabu.add(int(vm), old)
+                tabu.add(vm, state.move(vm, target))
                 self.moves_performed += 1
                 moved_any = True
-            score = self._score(assignment, usage)
+            score = state.score()
             if score < best_score:
                 best_score = score
                 best = assignment.copy()

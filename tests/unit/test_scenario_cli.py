@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -72,9 +74,25 @@ class TestScenarioCommand:
 
     def test_run_is_deterministic_per_seed(self, capsys):
         main(["scenario", "run", "diurnal", "--seed", "3"])
-        first = capsys.readouterr().out
+        first = _without_timing(capsys.readouterr().out)
         main(["scenario", "run", "diurnal", "--seed", "3"])
-        assert capsys.readouterr().out == first
+        assert _without_timing(capsys.readouterr().out) == first
+
+
+def _without_timing(out: str) -> list:
+    """CLI output with the wall-clock ``time (s)`` table cell dropped.
+
+    The table's header, rule and row lines become cell lists (cells are
+    separated by two or more spaces); every other line is kept verbatim.
+    """
+    lines = out.splitlines()
+    header = next(i for i, line in enumerate(lines) if line.startswith("windows"))
+    cells = [re.split(r"\s{2,}", line.strip()) for line in lines[header : header + 3]]
+    column = cells[0].index("time (s)")
+    assert float(cells[2][column]) >= 0.0
+    for row in cells:
+        del row[column]
+    return [*lines[:header], *cells, *lines[header + 3 :]]
 
 
 class TestVerifyScenarioRouting:

@@ -365,3 +365,60 @@ class TestDeadlineRegression:
         # propagation the repair loop alone runs for minutes.
         assert elapsed < 5.0
         assert result.evaluations < config.max_evaluations
+
+
+class TestRepairGoldenBytes:
+    """Repair output pinned byte for byte to digests recorded before the
+    repair walk moved onto incremental state.  Run-to-run identity alone
+    would not catch a refactor that changes the walk consistently."""
+
+    #: (order, with base usage, entry point) -> blake2b-128 of the
+    #: repaired genomes followed by the repairer's move count.
+    GOLDEN = {
+        ("first", False, "genome"): "eaa01b39f9f85605741e5be452258463",
+        ("best_fit", False, "genome"): "42b13a7692aff5f94650824d189120e0",
+        ("random", False, "genome"): "ac44f213e013fd00650c832d1317e2c2",
+        ("first", True, "genome"): "16ccb5c72d69f0f9551734d512f04195",
+        ("best_fit", True, "genome"): "cb5604f3f25a65e0af7790179875bb88",
+        ("random", True, "genome"): "f8cac2859be95245380dcd8697dbe300",
+        ("first", False, "population"): "5ad7fa61cb5d07e5172813ce5d7fabdb",
+        ("best_fit", False, "population"): "627803c514ff8ee9d427b7f97e625107",
+        ("random", False, "population"): "bdd0130604640a0e6d3a13af45e89ce8",
+        ("first", True, "population"): "5c72d20dfd5dd3ca7cb53a4e4f80c391",
+        ("best_fit", True, "population"): "57084a6f603154672bf6c89deed1e49a",
+        ("random", True, "population"): "0af23686a4c420c978304aa0bcadef9b",
+    }
+
+    @pytest.fixture(scope="class")
+    def tight_instance(self):
+        """60 servers x 120 VMs at tightness 0.8, with all four rules,
+        and eight random (all infeasible) genomes."""
+        from repro.workloads import ScenarioGenerator, ScenarioSpec
+
+        spec = ScenarioSpec(servers=60, vms=120, datacenters=3, tightness=0.8)
+        scenario = ScenarioGenerator(spec, seed=11).generate()
+        request, _ = Request.concatenate(scenario.requests)
+        infra = scenario.infrastructure
+        population = np.random.default_rng(7).integers(
+            0, infra.m, size=(8, request.n)
+        )
+        return infra, request, population
+
+    @pytest.mark.parametrize("entry", ["genome", "population"])
+    @pytest.mark.parametrize("with_base", [False, True])
+    @pytest.mark.parametrize("order", ["first", "best_fit", "random"])
+    def test_output_bytes_unchanged(self, tight_instance, order, with_base, entry):
+        import hashlib
+
+        infra, request, population = tight_instance
+        base = 0.2 * infra.effective_capacity if with_base else None
+        repair = TabuRepair(infra, request, base_usage=base, order=order, seed=5)
+        digest = hashlib.blake2b(digest_size=16)
+        if entry == "genome":
+            for row in population:
+                digest.update(repair.repair_genome(row).tobytes())
+        else:
+            for _ in range(2):  # two batches: the batch counter advances
+                digest.update(repair(population).tobytes())
+        digest.update(np.int64(repair.moves_performed).tobytes())
+        assert digest.hexdigest() == self.GOLDEN[(order, with_base, entry)]
