@@ -131,7 +131,7 @@ class CapacityConstraint(Constraint):
     def batch_usage(self, population: IntArray) -> FloatArray:
         """Usage tensor (pop, m, h) for a whole population.
 
-        Dispatches to the active kernel backend (flat-index bincount
+        Dispatches to the active kernel backend (per-attribute bincount
         tiles on the numpy backend, ``prange`` scatter on numba) — no
         Python-level loop over individuals on any backend.
         """

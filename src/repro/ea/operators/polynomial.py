@@ -52,26 +52,28 @@ def polynomial_mutation(
 
     lo, hi = 0.0, float(n_servers - 1)
     span = hi - lo
-    x = genomes.astype(np.float64)
-    mutate = rng.random(genomes.shape) < rate
-    u = rng.random(genomes.shape)
+    # Both draws cover every gene, so the generator advances by the same
+    # amount whatever the rate; only the mutating genes use theirs.
+    draws = rng.random(genomes.shape)
+    mutate = np.flatnonzero(draws < rate)
+    u = np.take(rng.random(out=draws), mutate)
+    x = np.take(genomes, mutate).astype(np.float64)
 
     # Standard bounded polynomial mutation (Deb's delta-q formulation).
-    delta1 = (x - lo) / span
-    delta2 = (hi - x) / span
     mut_pow = 1.0 / (eta + 1.0)
+    below = u < 0.5
+    xy = np.where(below, 1.0 - (x - lo) / span, 1.0 - (hi - x) / span)
     with np.errstate(invalid="ignore"):
-        below = u < 0.5
-        xy = np.where(below, 1.0 - delta1, 1.0 - delta2)
+        tail = xy ** (eta + 1.0)
         val = np.where(
             below,
-            2.0 * u + (1.0 - 2.0 * u) * xy ** (eta + 1.0),
-            2.0 * (1.0 - u) + 2.0 * (u - 0.5) * xy ** (eta + 1.0),
+            2.0 * u + (1.0 - 2.0 * u) * tail,
+            2.0 * (1.0 - u) + 2.0 * (u - 0.5) * tail,
         )
-        deltaq = np.where(below, val**mut_pow - 1.0, 1.0 - val**mut_pow)
+        root = val**mut_pow
+    deltaq = np.where(below, root - 1.0, 1.0 - root)
 
-    mutated = x + deltaq * span
-    out = np.where(mutate, mutated, x)
-    rounded = np.rint(out).astype(np.int64)
-    np.clip(rounded, 0, n_servers - 1, out=rounded)
-    return rounded
+    out = np.clip(genomes, 0, n_servers - 1)
+    mutated = np.rint(x + deltaq * span).astype(np.int64)
+    np.put(out, mutate, np.clip(mutated, 0, n_servers - 1, out=mutated))
+    return out

@@ -8,7 +8,8 @@ standard"), so children are rounded to the nearest integer and clipped
 into ``[0, m)``.
 
 The whole parent population is crossed in one vectorized pass: pair
-(2i, 2i+1), draw per-gene spread factors, blend, round, clip.
+(2i, 2i+1), draw per-gene spread factors, blend the pairs that cross,
+round, clip.
 """
 
 from __future__ import annotations
@@ -24,11 +25,7 @@ __all__ = ["sbx_crossover"]
 
 def _spread_factor(u: np.ndarray, eta: float) -> np.ndarray:
     """The SBX beta distribution sample for uniform draws ``u``."""
-    beta = np.empty_like(u)
-    low = u <= 0.5
-    beta[low] = (2.0 * u[low]) ** (1.0 / (eta + 1.0))
-    beta[~low] = (1.0 / (2.0 * (1.0 - u[~low]))) ** (1.0 / (eta + 1.0))
-    return beta
+    return np.where(u <= 0.5, 2.0 * u, 1.0 / (2.0 * (1.0 - u))) ** (1.0 / (eta + 1.0))
 
 
 def sbx_crossover(
@@ -65,28 +62,27 @@ def sbx_crossover(
         raise ValidationError(f"n_servers must be >= 1, got {n_servers}")
     rng = as_generator(seed)
 
-    p1 = parents[0::2].astype(np.float64)
-    p2 = parents[1::2].astype(np.float64)
     pairs = pop // 2
-
     u = rng.random((pairs, n))
-    beta = _spread_factor(u, eta)
-    c1 = 0.5 * ((1.0 + beta) * p1 + (1.0 - beta) * p2)
-    c2 = 0.5 * ((1.0 - beta) * p1 + (1.0 + beta) * p2)
-
-    # Per-gene 50% swap keeps SBX symmetric, as in the reference
-    # implementation.
     swap = rng.random((pairs, n)) < 0.5
-    c1s = np.where(swap, c2, c1)
-    c2s = np.where(swap, c1, c2)
+    crossed = np.flatnonzero(rng.random(pairs) < rate)
 
-    cross_mask = (rng.random(pairs) < rate)[:, None]
-    child1 = np.where(cross_mask, c1s, p1)
-    child2 = np.where(cross_mask, c2s, p2)
-
-    offspring = np.empty_like(parents, dtype=np.float64)
-    offspring[0::2] = child1
-    offspring[1::2] = child2
-    rounded = np.rint(offspring).astype(np.int64)
-    np.clip(rounded, 0, n_servers - 1, out=rounded)
-    return rounded
+    # Pairs that skip crossover pass through (clipped); only the crossed
+    # pairs blend.  Every draw above covers all pairs regardless, so the
+    # generator advances by the same amount whatever the rate.
+    offspring = np.clip(parents, 0, n_servers - 1)
+    p1 = parents[2 * crossed].astype(np.float64)
+    p2 = parents[2 * crossed + 1].astype(np.float64)
+    beta = _spread_factor(u[crossed], eta)
+    # Per-gene 50% swap keeps SBX symmetric, as in the reference
+    # implementation.  Negating beta swaps the two children exactly:
+    # 1 + (-b) and 1 - (-b) are bitwise 1 - b and 1 + b.
+    beta = np.where(swap[crossed], -beta, beta)
+    grow = 1.0 + beta
+    shrink = 1.0 - beta
+    children = (grow * p1 + shrink * p2, shrink * p1 + grow * p2)
+    for offset, child in enumerate(children):
+        child *= 0.5
+        rounded = np.rint(child, out=child).astype(np.int64)
+        offspring[2 * crossed + offset] = np.clip(rounded, 0, n_servers - 1, out=rounded)
+    return offspring

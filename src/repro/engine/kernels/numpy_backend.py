@@ -3,24 +3,26 @@
 Same results as :class:`~repro.engine.kernels.base.ReferenceKernel`
 bit for bit, reached by different routes:
 
-* scatters run through ``np.bincount`` (flat ``(row, server, attr)``
-  indices for population tiles) instead of ``np.add.at`` — both
+* scatters run through ``np.bincount`` instead of ``np.add.at`` — both
   accumulate duplicate indices in input order, so the float64 sums are
-  identical;
+  identical (population tiles use the reference's own per-attribute
+  bincount);
 * all placement groups of an instance are scored in **one** pass over
   a composite-key sort (integer arithmetic — exact) instead of one
   Python iteration per group;
-* the Eq. 24 QoS decay evaluates ``exp`` only on the overloaded cells
-  (the reference computes it everywhere then selects).  Per-element
-  the operations and operands are identical, so the selected values
-  are too.
+* the Eq. 24 QoS runs one attribute plane at a time, folded into a
+  running minimum, and evaluates ``exp`` on every cell with its
+  argument clamped at 0 instead of selecting the overloaded cells: a
+  cell that is not overloaded gets ``max_qos * exp(0)``, which is
+  ``max_qos`` exactly, and an overloaded one sees the reference's
+  operands.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.engine.kernels.base import GroupLayout, Kernel
+from repro.engine.kernels.base import GroupLayout, Kernel, ReferenceKernel
 from repro.model.placement import UNPLACED
 from repro.types import BoolArray, FloatArray, IntArray
 
@@ -28,7 +30,7 @@ __all__ = ["NumpyKernel"]
 
 
 class NumpyKernel(Kernel):
-    """Flat-index bincount tiles + single-pass group scoring."""
+    """Per-attribute bincount tiles + single-pass group scoring."""
 
     name = "numpy"
     vectorized_groups = True
@@ -44,20 +46,10 @@ class NumpyKernel(Kernel):
             )[:m]
         return usage
 
-    def batch_usage(
-        self, population: IntArray, demand: FloatArray, m: int
-    ) -> FloatArray:
-        pop, n = population.shape
-        h = demand.shape[1]
-        mask = population != UNPLACED
-        # One flat (row, server, attr) index per gene-attribute pair;
-        # unplaced genes land in a scratch server bucket at index m.
-        servers = np.where(mask, population, m)
-        cells = (np.arange(pop, dtype=np.int64)[:, None] * (m + 1) + servers)
-        flat = (cells[:, :, None] * h + np.arange(h, dtype=np.int64)).ravel()
-        weights = np.broadcast_to(demand, (pop, n, h)).ravel()
-        counts = np.bincount(flat, weights=weights, minlength=pop * (m + 1) * h)
-        return counts.reshape(pop, m + 1, h)[:, :m, :]
+    # The reference's tile, one bincount per attribute over flat
+    # (row, server) cells, is also the fastest: one bincount over
+    # (row, server, attr) keys needs pop·n·h index and weight vectors.
+    batch_usage = ReferenceKernel.batch_usage
 
     def batch_active(self, population: IntArray, m: int) -> BoolArray:
         pop = population.shape[0]
@@ -119,19 +111,29 @@ class NumpyKernel(Kernel):
         max_load: FloatArray,
         max_qos: FloatArray,
     ) -> FloatArray:
-        total = usage + base_usage
-        safe = np.where(capacity > 0, capacity, 1.0)
-        load = total / safe
-        load = np.where((capacity <= 0) & (total > 0), np.inf, load)
-        shape = load.shape
-        qos = np.empty(shape, dtype=np.float64)
-        qos[...] = max_qos
-        overload = load > max_load
-        if overload.any():
-            knee = np.broadcast_to(max_load, shape)[overload]
-            ceiling = np.broadcast_to(max_qos, shape)[overload]
-            # Overloaded cells have load > knee, so the exp argument is
-            # already <= 0 — no clamp needed (matches the reference's
-            # minimum(0, .) on this subset element for element).
-            qos[overload] = ceiling * np.exp((knee - load[overload]) / (1.0 - knee))
-        return qos.min(axis=-1)
+        # One (..., m) plane per attribute, folded into the running
+        # minimum, so no temporary spans the whole (..., m, h) tile.
+        all_positive = bool((capacity > 0).all())
+        worst = None
+        for col in range(usage.shape[-1]):
+            cap = capacity[..., col]
+            knee = max_load[..., col]
+            load = usage[..., col] + base_usage[..., col]
+            if all_positive:
+                load /= cap
+            else:
+                total = load
+                load = total / np.where(cap > 0, cap, 1.0)
+                load = np.where((cap <= 0) & (total > 0), np.inf, load)
+            # Eq. 24 without the select: the exp argument is < 0 exactly
+            # on the overloaded cells (load > knee), so clamping it at 0
+            # gives every other cell max_qos * exp(0) = max_qos, and keeps
+            # exp from overflowing.  fmin maps a NaN load to max_qos too,
+            # as the select does.
+            qos = np.subtract(knee, load, out=load)
+            qos /= 1.0 - knee
+            np.fmin(qos, 0.0, out=qos)
+            np.exp(qos, out=qos)
+            qos *= max_qos[..., col]
+            worst = qos if worst is None else np.minimum(worst, qos, out=worst)
+        return worst

@@ -83,13 +83,19 @@ class DowntimeCost:
         )
 
     def _penalties(self, qos_per_resource: FloatArray) -> FloatArray:
-        """Map delivered QoS per resource to monetary penalties."""
+        """Map delivered QoS per resource to monetary penalties, in place
+        (the argument is overwritten and returned)."""
         cq = self.request.qos_guarantee
         cu = self.request.downtime_cost
+        out = qos_per_resource
         if self.mode == "literal":
-            return cu * (qos_per_resource / cq)
-        shortfall = np.maximum(0.0, (cq - qos_per_resource) / cq)
-        return cu * shortfall
+            out /= cq
+        else:
+            np.subtract(cq, out, out=out)
+            out /= cq
+            np.maximum(0.0, out, out=out)
+        out *= cu
+        return out
 
     # ------------------------------------------------------------------
     def value(self, assignment: IntArray) -> float:
@@ -129,9 +135,12 @@ class DowntimeCost:
                 f"population has {pop}"
             )
         server_qos = self._server_min_qos(usage)  # (pop, m)
-        mask = population != UNPLACED
-        safe = np.where(mask, population, 0)
-        delivered = np.take_along_axis(server_qos, safe, axis=1)
-        penalties = self._penalties(delivered)
-        penalties = np.where(mask, penalties, 0.0)
+        m = self.infrastructure.m
+        unplaced = population == UNPLACED
+        # Flat (row, server) cells; unplaced genes read server 0 and are
+        # zeroed after.
+        cells = np.where(unplaced, 0, population)
+        cells += np.arange(0, pop * m, m)[:, None]
+        penalties = self._penalties(np.take(server_qos, cells))
+        penalties[unplaced] = 0.0
         return penalties.sum(axis=1)

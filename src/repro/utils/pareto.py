@@ -38,15 +38,20 @@ def dominates(a: FloatArray, b: FloatArray) -> bool:
 def dominance_matrix(objectives: FloatArray) -> BoolArray:
     """Pairwise dominance: ``out[i, j]`` is True iff point i dominates j.
 
-    Vectorized via broadcasting — O(n^2 * m) memory but no Python loop,
-    which is the profitable trade for the population sizes used here
-    (Table III: population 100).
+    Vectorized via broadcasting, one (n, n) comparison per objective —
+    the profitable trade for the population sizes used here (Table III:
+    population 100), and faster than reducing an (n, n, m) tensor over
+    its short last axis.
     """
     obj = np.asarray(objectives, dtype=np.float64)
     if obj.ndim != 2:
         raise ValueError(f"objectives must be 2-D, got shape {obj.shape}")
-    le = np.all(obj[:, None, :] <= obj[None, :, :], axis=2)
-    lt = np.any(obj[:, None, :] < obj[None, :, :], axis=2)
+    n = obj.shape[0]
+    le = np.ones((n, n), dtype=bool)
+    lt = np.zeros((n, n), dtype=bool)
+    for col in obj.T:
+        le &= col[:, None] <= col[None, :]
+        lt |= col[:, None] < col[None, :]
     return le & lt
 
 

@@ -12,8 +12,9 @@ drift is a bug, not a tolerance question.
 The checker drives fuzzed scenario instances plus the structural edge
 cases vectorized code most often gets wrong — the empty population,
 rows with every gene :data:`~repro.model.placement.UNPLACED`, the
-single-server estate, and ``int32`` genomes — through every available
-backend, comparing raw bytes against the reference at two levels:
+single-server estate, ``int32`` genomes, and a zero-capacity attribute
+both used and unused — through every available backend, comparing raw
+bytes against the reference at two levels:
 
 1. **primitive level** — ``scatter_usage`` / ``batch_usage`` /
    ``batch_active`` / ``batch_over_counts`` / ``server_min_qos`` on the
@@ -28,7 +29,7 @@ telemetry lands in ``verify.kernels.*``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -180,6 +181,16 @@ def _cases(seed: int, instances: int):
             _population(rng, 5, merged_single.n, 1, unplaced=0.2),
         )
     )
+
+    # Capacity 0 on one attribute of servers 0 and 1: server 0 carries
+    # load (Eq. 25 reports inf there), server 1 stays empty (load 0).
+    capacity = base.infrastructure.capacity.copy()
+    capacity[:2, 0] = 0.0
+    zero = CompiledProblem(replace(base.infrastructure, capacity=capacity), base.request)
+    population = _population(rng, 6, n, m, unplaced=0.05)
+    population[population == 1] = 2
+    population[:, 0] = 0
+    out.append(("edge: zero-capacity attribute", zero, population))
     return out
 
 

@@ -1,5 +1,7 @@
 """Unit tests for genetic operators: SBX, PM, discrete pair, selection."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.ea.operators import (
 )
 from repro.ea.operators.selection import random_mating_pool
 from repro.errors import ValidationError
+from repro.model.placement import UNPLACED
 
 
 class TestSBX:
@@ -79,6 +82,88 @@ class TestPolynomialMutation:
         snapshot = genomes.copy()
         polynomial_mutation(genomes, n_servers=9, rate=1.0, seed=4)
         assert np.array_equal(genomes, snapshot)
+
+
+def _digest(array: np.ndarray) -> str:
+    """blake2b-128 of an array's dtype, shape and bytes."""
+    array = np.ascontiguousarray(array)
+    digest = hashlib.blake2b(digest_size=16)
+    digest.update(f"{array.dtype.str}{array.shape}".encode())
+    digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+def _golden_genomes(case: str) -> tuple[np.ndarray, int]:
+    """(genomes, n_servers) of one golden-bytes case."""
+    rng = np.random.default_rng(2024)
+    if case == "paper":  # Table III population at the Fig. 8 size
+        return rng.integers(0, 800, size=(100, 1600)), 800
+    if case == "in_range":
+        return rng.integers(0, 30, size=(16, 40)), 30
+    m = {"m1": 1, "m2": 2}.get(case, 20)
+    # UNPLACED and ids past the top end: every gene comes back clipped.
+    genomes = rng.integers(0, m + 4, size=(12, 40))
+    genomes[rng.random(genomes.shape) < 0.1] = UNPLACED
+    return genomes, m
+
+
+class TestVariationGoldenBytes:
+    """SBX and PM output pinned byte for byte, and the generator's next
+    draw after each call, to values recorded before the operators were
+    rewritten to compute only the genes they keep.  The next draw pins
+    how many numbers each call consumes, in what shapes and order, which
+    every seed-determinism and resume contract depends on."""
+
+    #: (operator, case, rate, eta) -> (output digest, next draw as hex).
+    GOLDEN = {
+        ("sbx", "mixed", None, 15.0): ("0cfdab7d94450892af36e9010bcae3c8", "0x1.7c8befa3b5028p-2"),
+        ("sbx", "mixed", 0.0, 15.0): ("08225316e66679e12e506dbd4142fabc", "0x1.7c8befa3b5028p-2"),
+        ("sbx", "mixed", 1.0, 15.0): ("27970a8427fe90e6d1ccc7638760c902", "0x1.7c8befa3b5028p-2"),
+        ("sbx", "m1", 1.0, 15.0): ("a96799904c6940f6c80568b445e214ec", "0x1.7c8befa3b5028p-2"),
+        ("sbx", "m2", None, 15.0): ("ad48baa9a70c1acaedf019ea932c7539", "0x1.7c8befa3b5028p-2"),
+        ("sbx", "m2", 1.0, 1.0): ("3842ef7e42390458f1737c967d14b2ee", "0x1.7c8befa3b5028p-2"),
+        ("sbx", "in_range", 1.0, 2.5): ("12cef68bd3ed82bd26dc079572edf402", "0x1.b164b207c8480p-6"),
+        ("sbx", "paper", None, 15.0): ("ac82266cfa4fec717d2f78e877a0a8de", "0x1.3d4f62c80e816p-2"),
+        ("pm", "mixed", None, 15.0): ("ac03f573562ecd3dbb386a4d39c427dd", "0x1.b7120f4991ec0p-2"),
+        ("pm", "mixed", 0.0, 15.0): ("08225316e66679e12e506dbd4142fabc", "0x1.b7120f4991ec0p-2"),
+        ("pm", "mixed", 1.0, 15.0): ("5b3d25e8402097810926a479aaee1b0e", "0x1.b7120f4991ec0p-2"),
+        ("pm", "m1", 1.0, 15.0): ("6ca01878822b3022f35f21a755e33f86", "0x1.400c8353e3ca9p-1"),
+        ("pm", "m2", None, 15.0): ("673ad7a397d44fa61468648b052637cf", "0x1.b7120f4991ec0p-2"),
+        ("pm", "m2", 1.0, 1.0): ("369a6cc45db702c7ee20ed6ead7ec739", "0x1.b7120f4991ec0p-2"),
+        ("pm", "in_range", 1.0, 2.5): ("a6e349a3bd04cfce24464f285b3ed3d3", "0x1.efd24de27c828p-3"),
+        ("pm", "paper", None, 15.0): ("be48df642e5836c4959421717d83db67", "0x1.f92791b8568f0p-5"),
+    }
+
+    CASES = [
+        ("mixed", None, 15.0),
+        ("mixed", 0.0, 15.0),
+        ("mixed", 1.0, 15.0),
+        ("m1", 1.0, 15.0),
+        ("m2", None, 15.0),
+        ("m2", 1.0, 1.0),
+        ("in_range", 1.0, 2.5),
+        ("paper", None, 15.0),
+    ]
+
+    @pytest.mark.parametrize("operator", ["sbx", "pm"])
+    @pytest.mark.parametrize(("case", "rate", "eta"), CASES)
+    def test_output_and_draws_unchanged(self, operator, case, rate, eta):
+        genomes, m = _golden_genomes(case)
+        snapshot = genomes.copy()
+        rng = np.random.default_rng(7)
+        op = sbx_crossover if operator == "sbx" else polynomial_mutation
+        kwargs = {} if rate is None else {"rate": rate}
+        out = op(genomes, n_servers=m, eta=eta, seed=rng, **kwargs)
+        assert np.array_equal(genomes, snapshot)
+        got = (_digest(out), float(rng.random()).hex())
+        assert got == self.GOLDEN[(operator, case, rate, eta)]
+
+    @pytest.mark.parametrize("operator", [sbx_crossover, polynomial_mutation])
+    def test_memory_layout_does_not_matter(self, operator):
+        genomes, m = _golden_genomes("mixed")
+        expected = operator(genomes, n_servers=m, rate=0.5, seed=3)
+        for view in (np.asfortranarray(genomes), np.repeat(genomes, 2, axis=1)[:, ::2]):
+            assert np.array_equal(operator(view, n_servers=m, rate=0.5, seed=3), expected)
 
 
 class TestDiscreteOperators:

@@ -9,6 +9,8 @@ and the satellite contracts around them (capacity retargeting, the
 repair usage tile, batch_violations overrides).
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -132,9 +134,14 @@ class TestEdgeCases:
         self._assert_identical(self._snapshots(compiled, population))
 
     def test_conformance_checker_clean(self):
-        report = check_kernel_conformance(seed=7, instances=1)
+        # A zero-capacity attribute sends loads to inf; no backend may
+        # warn on the way to QoS 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = check_kernel_conformance(seed=7, instances=1)
         assert report.ok, report.format()
         assert report.comparisons > 0
+        assert "edge: zero-capacity attribute" in report.cases
 
 
 class TestBatchViolationOverrides:
@@ -249,3 +256,77 @@ class TestRepairUsageTile:
         )
         population = np.zeros((3, compiled.request.n), dtype=np.int64)
         assert repairer._usage_tile(population, np.array([], dtype=np.int64)) is None
+
+
+class TestEvaluationGoldenBytes:
+    """Population evaluation and the numpy usage/QoS tiles pinned byte
+    for byte to digests recorded before those kernels dropped their
+    widest temporaries, at the paper's largest size (Fig. 8, 800x1600)."""
+
+    #: field -> blake2b-128 of its dtype, shape and bytes.
+    GOLDEN = {
+        "objectives": "4648ba184dc8e5d7cd6f37080c3a24ad",
+        "violations": "ba01bd6421c1b4c40b08a5ede590b99f",
+        "objectives@variant": "1f615ff4d4a83f279949ead88d01435e",
+        "violations@variant": "9081b79b353104d3590fecf138fcb45c",
+        "batch_usage": "9e14758da547b654ad83a603fe243d0b",
+        "server_min_qos@0.0": "d706fa75657d73bc766d8082ec5c3068",
+        "server_min_qos@0.5": "103ae36c19d4d6f68f5e698dd704fbf7",
+    }
+
+    @pytest.fixture(scope="class")
+    def paper_instance(self):
+        """One generated 800x1600 instance and 20 random rows with about
+        2% UNPLACED genes."""
+        compiled = _compiled(
+            servers=800, datacenters=4, vms=1600, seed=3, tightness=0.65
+        )
+        rng = np.random.default_rng(11)
+        population = rng.integers(0, compiled.m, size=(20, compiled.request.n))
+        population[rng.random(population.shape) < 0.02] = UNPLACED
+        return compiled, population
+
+    @staticmethod
+    def _snapshot(compiled, population) -> dict:
+        infra = compiled.infrastructure
+        kernel = get_kernel("numpy")
+        with use_kernel("numpy"):
+            result = compiled.evaluator().evaluate_population(population)
+            # Every other objective mode, on a loaded estate.
+            variant = compiled.evaluator(
+                base_usage=0.3 * infra.capacity,
+                previous_assignment=population[0],
+                downtime_mode="literal",
+                per_server_operating=True,
+            ).evaluate_population(population)
+        usage = kernel.batch_usage(population, compiled.request.demand, infra.m)
+        qos = {
+            f"server_min_qos@{load}": kernel.server_min_qos(
+                usage,
+                load * infra.capacity,
+                infra.capacity,
+                infra.max_load,
+                infra.max_qos,
+            )
+            for load in (0.0, 0.5)
+        }
+        return {
+            "objectives": result.objectives,
+            "violations": result.violations,
+            "objectives@variant": variant.objectives,
+            "violations@variant": variant.violations,
+            "batch_usage": usage,
+            **qos,
+        }
+
+    def test_bytes_unchanged(self, paper_instance):
+        import hashlib
+
+        got = {}
+        for name, array in self._snapshot(*paper_instance).items():
+            array = np.ascontiguousarray(array)
+            digest = hashlib.blake2b(digest_size=16)
+            digest.update(f"{array.dtype.str}{array.shape}".encode())
+            digest.update(array.tobytes())
+            got[name] = digest.hexdigest()
+        assert got == self.GOLDEN
