@@ -1,11 +1,11 @@
-"""Single-thread kernel-backend throughput (the tentpole bench).
+"""Single-thread batch-evaluation throughput of the kernels.
 
 Measures batch-evaluation ops/sec — full ``evaluate_population`` rows
-per second, objectives + violations — for every conformant kernel
-backend, against the honest pre-kernel baseline: the same reference
-code evaluating the population one row at a time (how the repair loop
-and delta-scoring fallbacks consumed the evaluator before the kernel
-layer batched them).
+per second, objectives + violations — for the production kernels and
+for the independent reference (:func:`repro.verify.kernels.reference_kernels`),
+against the honest unbatched baseline: the reference evaluating the
+population one row at a time (how the repair loop and delta-scoring
+fallbacks consumed the evaluator before evaluation was batched).
 
 Workload: populations with ~2% UNPLACED genes — the partially-placed
 regime the repair path actually sees; fully-placed batches were already
@@ -14,21 +14,20 @@ says out loud.
 
 Asserted every run, before any number is reported:
 
-* every backend's objectives/violations are **byte-identical** to the
-  reference backend's on the measured population;
-* at the largest measured size the numpy backend clears
-  ``BATCH_VS_PER_ROW_FLOOR`` over the per-row baseline;
-* when numba is importable its ops/sec must be >= the numpy backend's
-  (else the JSON records the comparison as skipped with the reason).
+* the kernels' objectives/violations are **byte-identical** to the
+  reference's on the measured population;
+* at the largest measured size the kernels clear
+  ``BATCH_VS_PER_ROW_FLOOR`` over the per-row baseline.
 
-``REPRO_BENCH_GATE=1`` additionally compares the numpy backend's
-ops/sec per size against the committed ``BENCH_kernels.json`` and fails
-on a > ``REGRESSION_TOLERANCE`` drop — the CI bench-smoke gate.
+``REPRO_BENCH_GATE=1`` additionally compares the kernels' ops/sec per
+size (the ``numpy`` entry) against the committed ``BENCH_kernels.json``
+and fails on a > ``REGRESSION_TOLERANCE`` drop — the CI bench-smoke
+gate.
 
 Results land in ``BENCH_kernels.json`` at the repo root with a full
-environment block (cpu_count, backend, numba/numpy versions); the
-default sizes are smoke-scale and ``REPRO_BENCH_FULL=1`` adds the
-paper-scale 800 servers x 1600 VMs point.
+environment block (cpu_count, numpy/python versions); the default sizes
+are smoke-scale and ``REPRO_BENCH_FULL=1`` adds the paper-scale
+800 servers x 1600 VMs point.
 """
 
 from __future__ import annotations
@@ -46,18 +45,17 @@ from benchmarks.conftest import (
     scenario_for,
 )
 from repro.engine import CompiledProblem
-from repro.engine.kernels import available_kernels, use_kernel
-from repro.engine.kernels.numba_backend import HAVE_NUMBA
 from repro.model.placement import UNPLACED
 from repro.model.request import Request
+from repro.verify.kernels import reference_kernels
 
 #: Rows per measured batch — a generation's worth of genomes.
 POP = 64
 #: Fraction of genes knocked out to UNPLACED (the repair-path regime).
 UNPLACED_FRACTION = 0.02
-#: Enforced at the largest measured size: numpy batch vs per-row loop.
+#: Enforced at the largest measured size: kernel batch vs per-row loop.
 BATCH_VS_PER_ROW_FLOOR = 5.0
-#: REPRO_BENCH_GATE=1 fails on a numpy ops/sec drop beyond this.
+#: REPRO_BENCH_GATE=1 fails on a kernel ops/sec drop beyond this.
 REGRESSION_TOLERANCE = 0.20
 #: Minimum wall-clock per timing sample; repeats until reached.
 MIN_SAMPLE_SECONDS = 0.25
@@ -81,7 +79,7 @@ def _workload(servers: int, vms: int):
 
 def _rows_per_sec(run_once, rows: int) -> float:
     """ops/sec (rows evaluated per second) over >= MIN_SAMPLE_SECONDS."""
-    run_once()  # warmup — includes any JIT compilation
+    run_once()  # warmup
     total_rows = 0
     t0 = time.perf_counter()
     while (elapsed := time.perf_counter() - t0) < MIN_SAMPLE_SECONDS:
@@ -90,10 +88,9 @@ def _rows_per_sec(run_once, rows: int) -> float:
     return total_rows / elapsed
 
 
-def test_kernel_backend_throughput():
+def test_kernel_throughput():
     full = full_sweep_enabled()
     sizes = [(60, 120), (120, 240)] + ([(800, 1600)] if full else [])
-    backends = available_kernels()
 
     prior = None
     if bench_gate_enabled() and RESULT_PATH.exists():
@@ -104,9 +101,12 @@ def test_kernel_backend_throughput():
         compiled, population = _workload(servers, vms)
         evaluator = compiled.evaluator()
 
-        # Baseline: the reference code fed one row at a time (pre-kernel
+        # Baseline: the reference fed one row at a time (the unbatched
         # consumption pattern of the repair/delta paths).
-        with use_kernel("reference"):
+        def batch():
+            return evaluator.evaluate_population(population)
+
+        with reference_kernels():
             per_row_ops = _rows_per_sec(
                 lambda: [
                     evaluator.evaluate_population(population[i : i + 1])
@@ -114,7 +114,8 @@ def test_kernel_backend_throughput():
                 ],
                 population.shape[0],
             )
-            baseline = evaluator.evaluate_population(population)
+            baseline = batch()
+            reference_ops = _rows_per_sec(batch, population.shape[0])
 
         point = {
             "servers": servers,
@@ -125,35 +126,25 @@ def test_kernel_backend_throughput():
             "per_row_reference_ops_per_sec": round(per_row_ops, 1),
             "backends": {},
         }
-        for name in backends:
-            with use_kernel(name):
-                result = evaluator.evaluate_population(population)
-                assert (
-                    result.objectives.tobytes() == baseline.objectives.tobytes()
-                ), f"{name} objectives diverge from reference at {servers}x{vms}"
-                assert (
-                    result.violations.tobytes() == baseline.violations.tobytes()
-                ), f"{name} violations diverge from reference at {servers}x{vms}"
-                ops = _rows_per_sec(
-                    lambda: evaluator.evaluate_population(population),
-                    population.shape[0],
-                )
+        result = batch()
+        assert (
+            result.objectives.tobytes() == baseline.objectives.tobytes()
+        ), f"objectives diverge from reference at {servers}x{vms}"
+        assert (
+            result.violations.tobytes() == baseline.violations.tobytes()
+        ), f"violations diverge from reference at {servers}x{vms}"
+        ops = _rows_per_sec(batch, population.shape[0])
+        # Keys kept from the multi-backend layout, so the committed JSON
+        # stays the regression gate's baseline.
+        for name, rate in (("reference", reference_ops), ("numpy", ops)):
             point["backends"][name] = {
-                "batch_ops_per_sec": round(ops, 1),
-                "speedup_vs_per_row": round(ops / per_row_ops, 2),
+                "batch_ops_per_sec": round(rate, 1),
+                "speedup_vs_per_row": round(rate / per_row_ops, 2),
             }
         sweep.append(point)
 
     largest = sweep[-1]
-    numpy_ops = largest["backends"]["numpy"]["batch_ops_per_sec"]
     numpy_speedup = largest["backends"]["numpy"]["speedup_vs_per_row"]
-
-    numba_gate = {"enforced": HAVE_NUMBA}
-    if HAVE_NUMBA:
-        numba_ops = largest["backends"]["numba"]["batch_ops_per_sec"]
-        numba_gate["numba_vs_numpy"] = round(numba_ops / numpy_ops, 2)
-    else:
-        numba_gate["reason"] = "numba not importable on this host"
 
     regression_gate = {"enforced": prior is not None}
     if prior is not None:
@@ -190,7 +181,6 @@ def test_kernel_backend_throughput():
             {
                 "pop": POP,
                 "batch_vs_per_row_floor": BATCH_VS_PER_ROW_FLOOR,
-                "numba_gate": numba_gate,
                 "regression_gate": regression_gate,
                 "sweep": sweep,
                 "full_size": full,
@@ -206,14 +196,9 @@ def test_kernel_backend_throughput():
         f"{largest['servers']}x{largest['vms']} "
         f"(floor {BATCH_VS_PER_ROW_FLOOR}x)"
     )
-    if HAVE_NUMBA:
-        assert numba_gate["numba_vs_numpy"] >= 1.0, (
-            f"numba backend slower than numpy "
-            f"({numba_gate['numba_vs_numpy']:.2f}x) at the largest size"
-        )
     if prior is not None:
         assert not regression_gate["drops"], "; ".join(regression_gate["drops"])
 
 
 if __name__ == "__main__":
-    test_kernel_backend_throughput()
+    test_kernel_throughput()

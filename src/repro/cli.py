@@ -590,9 +590,36 @@ def cmd_resume(args) -> int:
             file=sys.stderr,
         )
         return 1
-    argv = [str(chunk) for chunk in manifest["argv"]]
+    argv = _drop_retired_kernel_flag([str(chunk) for chunk in manifest["argv"]])
     print(f"resuming campaign: python -m repro {' '.join(argv)}")
     return main(argv)
+
+
+def _drop_retired_kernel_flag(argv: list[str]) -> list[str]:
+    """Strip a recorded ``--kernel NAME`` / ``--kernel=NAME`` from a
+    manifest argv.
+
+    Campaigns started while the evaluation kernels had selectable
+    backends may record that flag, which the parser no longer knows.
+    The backend never entered the trajectory key (docs/RUNBOOK.md), so
+    replaying without it reproduces the same results.
+    """
+    kept: list[str] = []
+    chunks = iter(argv)
+    for chunk in chunks:
+        if chunk == "--kernel":
+            dropped = f"{chunk} {next(chunks, '')}".rstrip()
+        elif chunk.startswith("--kernel="):
+            dropped = chunk
+        else:
+            kept.append(chunk)
+            continue
+        print(
+            f"note: dropping retired option '{dropped}' from the manifest "
+            "(one kernel implementation now; results are unchanged)",
+            file=sys.stderr,
+        )
+    return kept
 
 
 def cmd_serve(args) -> int:
@@ -664,14 +691,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for the intra-run parallel engine "
         "(0 = serial, the default; results are byte-identical either "
         "way — see docs/PARALLEL.md)",
-    )
-    common.add_argument(
-        "--kernel",
-        default=None,
-        choices=("reference", "numpy", "numba", "auto"),
-        help="evaluation kernel backend (default: $REPRO_KERNEL or "
-        "'auto' = numba when importable, else numpy; all backends are "
-        "bitwise-conformant — see docs/PERFORMANCE.md)",
     )
     common.add_argument(
         "--include-cp-hybrid",
@@ -846,8 +865,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--check-kernels",
                 action="store_true",
-                help="also prove bitwise conformance of every kernel "
-                "backend (reference/numpy/numba) on fuzzed and "
+                help="also prove the evaluation kernels byte-identical "
+                "to their independent reference on fuzzed and "
                 "edge-case instances (docs/PERFORMANCE.md)",
             )
             p.add_argument(
@@ -985,13 +1004,9 @@ def main(argv: list[str] | None = None) -> int:
         atomic_write_json(
             directory / "manifest.json", "campaign_manifest", {"argv": argv}
         )
-    if getattr(args, "kernel", None):
-        from repro.engine.kernels import set_kernel
-
-        set_kernel(args.kernel)
     if getattr(args, "prefer", None) is not None:
-        # Installed process-wide, like the kernel backend: every site
-        # that commits a single plan consults it (docs/MARKET.md).
+        # Installed process-wide: every site that commits a single plan
+        # consults it (docs/MARKET.md).
         from repro.market.preferences import set_preference
 
         set_preference(args.prefer)

@@ -19,11 +19,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.constraints.base import Constraint
-from repro.engine.kernels import active_kernel
+from repro.engine import kernels
 from repro.errors import DimensionError
 from repro.model.infrastructure import Infrastructure
 from repro.model.placement import UNPLACED
 from repro.types import BoolArray, FloatArray, IntArray
+from repro.utils.scatter import scatter_rows
 
 __all__ = ["CapacityConstraint"]
 
@@ -104,7 +105,7 @@ class CapacityConstraint(Constraint):
         """Usage matrix (m, h) induced by one genome (unplaced genes skipped)."""
         assignment = np.asarray(assignment, dtype=np.int64)
         mask = assignment != UNPLACED
-        return active_kernel().scatter_usage(
+        return scatter_rows(
             assignment[mask], self.demand[mask], self.limit.shape[0]
         )
 
@@ -131,9 +132,9 @@ class CapacityConstraint(Constraint):
     def batch_usage(self, population: IntArray) -> FloatArray:
         """Usage tensor (pop, m, h) for a whole population.
 
-        Dispatches to the active kernel backend (per-attribute bincount
-        tiles on the numpy backend, ``prange`` scatter on numba) — no
-        Python-level loop over individuals on any backend.
+        One bincount tile per attribute
+        (:func:`repro.engine.kernels.batch_usage`) — no Python-level loop
+        over individuals.
         """
         population = np.asarray(population, dtype=np.int64)
         pop, n = population.shape
@@ -141,14 +142,12 @@ class CapacityConstraint(Constraint):
             raise DimensionError(
                 f"population genome length {n} != request size {self.n}"
             )
-        return active_kernel().batch_usage(
-            population, self.demand, self.limit.shape[0]
-        )
+        return kernels.batch_usage(population, self.demand, self.limit.shape[0])
 
     def batch_violations(self, population: IntArray) -> IntArray:
         """Vectorized :meth:`violations` over a population matrix."""
         usage = self.batch_usage(population)
-        return active_kernel().batch_over_counts(usage, self._threshold)
+        return kernels.batch_over_counts(usage, self._threshold)
 
     # ------------------------------------------------------------------
     def fits(self, assignment: IntArray, resource: int, server: int) -> bool:

@@ -36,7 +36,6 @@ results.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import os
 import secrets
@@ -49,7 +48,6 @@ from typing import Any
 import numpy as np
 
 from repro.engine.compiled import CompiledProblem
-from repro.engine.kernels import active_kernel, use_kernel
 from repro.errors import ValidationError
 from repro.telemetry import MetricsRegistry, get_registry, use_registry
 from repro.types import FloatArray, IntArray, PlacementRule
@@ -331,19 +329,12 @@ def attach_instance(spec: InstanceSpec | str) -> _AttachedInstance:
 @dataclass(frozen=True)
 class RepairParams:
     """The tabu-repair knobs a worker needs to mirror the parent's
-    :class:`~repro.tabu.repair.TabuRepair` exactly.
-
-    ``kernel`` pins the worker's evaluation backend to the parent's
-    (``None`` leaves the worker on its own default).  All backends are
-    bitwise-conformant, so this is about performance parity — a numba
-    parent should not fan out to numpy workers — not correctness.
-    """
+    :class:`~repro.tabu.repair.TabuRepair` exactly."""
 
     max_rounds: int = 4
     tenure: int = 64
     order: str = "first"
     allow_worsening_moves: bool = True
-    kernel: str | None = None
 
     def cache_key(self) -> tuple:
         """Hashable identity for the worker-side repairer cache."""
@@ -352,13 +343,7 @@ class RepairParams:
             self.tenure,
             self.order,
             self.allow_worsening_moves,
-            self.kernel,
         )
-
-
-def _kernel_scope(kernel: str | None):
-    """The worker-side kernel context for one task (no-op when unset)."""
-    return use_kernel(kernel) if kernel else contextlib.nullcontext()
 
 
 def _repair_task(
@@ -374,7 +359,7 @@ def _repair_task(
     Returns the repaired rows, the task's metric snapshot (merged into
     the parent registry) and the busy seconds spent (utilization)."""
     stopwatch = Stopwatch().start()
-    with use_registry(MetricsRegistry()) as registry, _kernel_scope(params.kernel):
+    with use_registry(MetricsRegistry()) as registry:
         attached = attach_instance(spec)
         repairer = attached.repairer(params)
         repaired = np.empty_like(genomes)
@@ -402,11 +387,10 @@ def _evaluate_task(
     spec: InstanceSpec | str,
     binding: tuple[tuple[str, Any], ...],
     population: IntArray,
-    kernel: str | None = None,
 ):
     """Evaluate a population chunk inside a worker process."""
     stopwatch = Stopwatch().start()
-    with use_registry(MetricsRegistry()) as registry, _kernel_scope(kernel):
+    with use_registry(MetricsRegistry()) as registry:
         attached = attach_instance(spec)
         result = attached.evaluator(binding).evaluate_population(population)
         snapshot = registry.snapshot()
@@ -688,12 +672,9 @@ class ParallelEngine:
         registry = get_registry()
         chunks = self._chunks(population.shape[0])
         payload = self._payload(spec)
-        kernel = active_kernel().name
         try:
             futures = [
-                pool.submit(
-                    _evaluate_task, payload, binding, population[chunk], kernel
-                )
+                pool.submit(_evaluate_task, payload, binding, population[chunk])
                 for chunk in chunks
             ]
             objectives: list[np.ndarray] = []
@@ -704,7 +685,7 @@ class ParallelEngine:
                 except _AttachMiss:
                     registry.count("engine.parallel.specref.misses")
                     obj, vio, snapshot, elapsed = pool.submit(
-                        _evaluate_task, spec, binding, population[chunk], kernel
+                        _evaluate_task, spec, binding, population[chunk]
                     ).result()
                 objectives.append(obj)
                 violations.append(vio)

@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine.kernels import active_kernel
+from repro.engine import kernels
 from repro.errors import DimensionError, ValidationError
 from repro.model.infrastructure import Infrastructure
 from repro.model.placement import UNPLACED
 from repro.model.request import Request
 from repro.types import FloatArray, IntArray
+from repro.utils.scatter import scatter_rows
 
 __all__ = ["DowntimeCost"]
 
@@ -78,7 +79,7 @@ class DowntimeCost:
     def _server_min_qos(self, usage: FloatArray) -> FloatArray:
         """Worst-attribute QoS per server for a usage array (..., m, h)."""
         infra = self.infrastructure
-        return active_kernel().server_min_qos(
+        return kernels.server_min_qos(
             usage, self.base_usage, infra.capacity, infra.max_load, infra.max_qos
         )
 
@@ -103,9 +104,7 @@ class DowntimeCost:
         assignment = np.asarray(assignment, dtype=np.int64)
         infra = self.infrastructure
         mask = assignment != UNPLACED
-        usage = active_kernel().scatter_usage(
-            assignment[mask], self.request.demand[mask], infra.m
-        )
+        usage = scatter_rows(assignment[mask], self.request.demand[mask], infra.m)
         return self.value_from_usage(assignment, usage)
 
     def value_from_usage(self, assignment: IntArray, usage: FloatArray) -> float:

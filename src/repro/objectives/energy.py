@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine.kernels import active_kernel
+from repro.engine import kernels
 from repro.errors import DimensionError
 from repro.model.infrastructure import Infrastructure
 from repro.model.placement import UNPLACED
 from repro.types import FloatArray, IntArray
+from repro.utils.scatter import scatter_rows
 
 __all__ = ["ENERGY_IDLE_FRACTION", "EnergyCost", "power_model"]
 
@@ -122,9 +123,7 @@ class EnergyCost:
         mask = assignment != UNPLACED
         placed = assignment[mask]
         if usage is None:
-            usage = active_kernel().scatter_usage(
-                placed, self._demand[mask], self._base.shape[0]
-            )
+            usage = scatter_rows(placed, self._demand[mask], self._base.shape[0])
         active = np.zeros(self.infrastructure.m, dtype=bool)
         active[placed] = True
         load = ((usage + self._base) * self._inv_capacity).mean(axis=1)
@@ -144,10 +143,9 @@ class EnergyCost:
             )
         pop, n = population.shape
         m = self.infrastructure.m
-        kernel = active_kernel()
-        active = kernel.batch_active(population, m)
+        active = kernels.batch_active(population, m)
         if usage is None:
-            usage = kernel.batch_usage(population, self._demand, m)
+            usage = kernels.batch_usage(population, self._demand, m)
         load = ((usage + self._base[None, :, :])
                 * self._inv_capacity[None, :, :]).mean(axis=2)
         per_server = self.idle_power[None, :] + self.dynamic_power[None, :] * load

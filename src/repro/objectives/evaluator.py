@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.constraints.registry import ConstraintSet
-from repro.engine.kernels import active_kernel
+from repro.engine import kernels
 from repro.model.infrastructure import Infrastructure
 from repro.model.request import Request
 from repro.objectives.aggregate import ObjectiveVector, aggregate_scalar
@@ -195,21 +195,15 @@ class PopulationEvaluator:
         pop = population.shape[0]
         self._evaluations += pop
 
-        kernel = active_kernel()
         capacity = self.constraints.capacity
         usage = capacity.batch_usage(population)
-        violations = kernel.batch_over_counts(usage, capacity._threshold)
-        layout = (
-            self.constraints.group_layout()
-            if kernel.vectorized_groups and self.constraints.group_constraints
-            else None
-        )
+        violations = kernels.batch_over_counts(usage, capacity._threshold)
+        layout = self.constraints.group_layout()
         if layout is not None:
-            # One pass over every group of the whole population
-            # (integer arithmetic — identical counts to the per-group
-            # loop below, which stays for third-party constraints and
-            # the reference backend).
-            violations += kernel.batch_group_violations(population, layout)
+            # One pass over every group of the whole population; the
+            # per-group loop below stays for third-party constraints,
+            # which have no layout.
+            violations += kernels.batch_group_violations(population, layout)
         else:
             for constraint in self.constraints.group_constraints:
                 violations += constraint.batch_violations(population)

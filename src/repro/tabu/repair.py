@@ -28,7 +28,6 @@ import numpy as np
 
 from repro.constraints.registry import ConstraintSet
 from repro.constraints.rules import group_violations
-from repro.engine.kernels import active_kernel
 from repro.engine.parallel import RepairParams
 from repro.errors import ValidationError
 from repro.model.infrastructure import Infrastructure
@@ -422,7 +421,6 @@ class TabuRepair:
                     tenure=self.tenure,
                     order=self.order,
                     allow_worsening_moves=self.allow_worsening_moves,
-                    kernel=active_kernel().name,
                 ),
                 population[rows],
                 rows,

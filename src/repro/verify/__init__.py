@@ -19,9 +19,9 @@ way.  This package is that guarantee, in three layers:
   dynamic scenario registry: batch-permutation evaluation equivalence,
   integral time-shift invariance, drain-then-fail equivalence
   (``python -m repro verify --scenario NAME``);
-* :mod:`repro.verify.kernels` — bitwise conformance of every kernel
-  backend (reference/numpy/numba) on fuzzed and edge-case instances
-  (``python -m repro verify --check-kernels``);
+* :mod:`repro.verify.kernels` — bitwise conformance of the evaluation
+  kernels against an independent reference on fuzzed and edge-case
+  instances (``python -m repro verify --check-kernels``);
 * :mod:`repro.verify.parallel` — serial-vs-parallel byte-identity of
   the execution engine's repair fan-out and chunked evaluation
   (``python -m repro verify --check-parallel 1,2,4``);

@@ -1,27 +1,40 @@
-"""Kernel-backend conformance verification.
+"""Kernel conformance verification.
 
-The kernel layer's contract (``docs/PERFORMANCE.md``) is *bitwise*
-equality: every backend registered in :mod:`repro.engine.kernels` must
-produce byte-identical usage tensors, violation counts and objective
-vectors to the ``reference`` backend — the pre-kernel code paths kept
-verbatim.  ``np.bincount`` and ``np.add.at`` both accumulate duplicate
-indices in input order, and the numba backend keeps its inner gene
-loops serial, so exactness is achievable and therefore demanded: any
-drift is a bug, not a tolerance question.
+The batch primitives in :mod:`repro.engine.kernels` must produce
+byte-identical usage tensors, violation counts and objective vectors to
+an independent reference kept here, written the obvious way:
+
+* ``np.add.at`` scatters for the usage tensor, the active-server mask
+  and the single-genome usage matrix
+  (:func:`repro.utils.scatter.scatter_rows`);
+* one :func:`repro.constraints.rules.group_violations` call per row and
+  placement group;
+* Eq. 25 then Eq. 24 via :func:`repro.objectives.qos.loads_from_usage`
+  and :func:`repro.objectives.qos.qos_from_load`, minimum over
+  attributes.
+
+``np.bincount`` and ``np.add.at`` both accumulate duplicate indices in
+input order, and the QoS kernel performs the reference's float
+operations on every cell it keeps, so exactness is achievable and
+therefore demanded: any drift is a bug, not a tolerance question.
+
+:func:`reference_kernels` swaps the reference functions into
+:mod:`repro.engine.kernels` for one scope.  It is the test seam only;
+no production code selects it.
 
 The checker drives fuzzed scenario instances plus the structural edge
 cases vectorized code most often gets wrong — the empty population,
 rows with every gene :data:`~repro.model.placement.UNPLACED`, the
 single-server estate, ``int32`` genomes, and a zero-capacity attribute
-both used and unused — through every available backend, comparing raw
-bytes against the reference at two levels:
+both used and unused — through both implementations, comparing raw
+bytes at two levels:
 
-1. **primitive level** — ``scatter_usage`` / ``batch_usage`` /
+1. **primitive level** — the single-genome scatter, ``batch_usage`` /
    ``batch_active`` / ``batch_over_counts`` / ``server_min_qos`` on the
    same inputs;
 2. **evaluator level** — full ``evaluate_population`` objectives and
-   violations (which also exercises the vectorized group scoring
-   against the reference backend's per-constraint loop).
+   violations (which also exercises the composite-key group scoring
+   against the per-group reference counts).
 
 ``python -m repro verify --check-kernels`` runs this from the CLI;
 telemetry lands in ``verify.kernels.*``.
@@ -29,45 +42,154 @@ telemetry lands in ``verify.kernels.*``.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from typing import Iterator
 
 import numpy as np
 
+from repro.constraints.rules import (
+    DIFFERENT_DATACENTERS,
+    DIFFERENT_SERVERS,
+    SAME_DATACENTER,
+    SAME_SERVER,
+    group_violations,
+)
+from repro.engine import kernels
 from repro.engine.compiled import CompiledProblem
-from repro.engine.kernels import active_kernel, available_kernels, use_kernel
 from repro.model.placement import UNPLACED
 from repro.model.request import Request
+from repro.objectives.qos import loads_from_usage, qos_from_load
 from repro.telemetry import get_registry
+from repro.utils.scatter import scatter_rows
 from repro.workloads.generator import ScenarioGenerator, ScenarioSpec
 
 __all__ = [
     "KernelMismatch",
     "KernelConformanceReport",
     "check_kernel_conformance",
+    "reference_kernels",
 ]
 
 
+# ----------------------------------------------------------------------
+# The independent reference
+# ----------------------------------------------------------------------
+def _scatter_rows(servers, rows, m):
+    usage = np.zeros((m, rows.shape[1]), dtype=np.float64)
+    np.add.at(usage, servers, rows)
+    return usage
+
+
+def _placed_cells(population):
+    """(row, server, gene) index vectors of every placed gene, row-major."""
+    rows, genes = np.nonzero(population != UNPLACED)
+    return rows, population[rows, genes], genes
+
+
+def _batch_usage(population, demand, m):
+    usage = np.zeros((population.shape[0], m, demand.shape[1]))
+    rows, servers, genes = _placed_cells(population)
+    np.add.at(usage, (rows, servers), demand[genes])
+    return usage
+
+
+def _batch_active(population, m):
+    counts = np.zeros((population.shape[0], m), dtype=np.int64)
+    rows, servers, _ = _placed_cells(population)
+    np.add.at(counts, (rows, servers), 1)
+    return counts > 0
+
+
+def _batch_over_counts(usage, threshold):
+    over = usage > threshold
+    return over.sum(axis=tuple(range(1, over.ndim))).astype(np.int64)
+
+
+#: (counts_distinct, uses_datacenter) -> rule code of
+#: :func:`repro.constraints.rules.group_violations`.
+_RULE_CODES = {
+    (True, False): SAME_SERVER,
+    (True, True): SAME_DATACENTER,
+    (False, False): DIFFERENT_SERVERS,
+    (False, True): DIFFERENT_DATACENTERS,
+}
+
+
+def _batch_group_violations(population, layout):
+    codes = [
+        _RULE_CODES[key]
+        for key in zip(
+            layout.counts_distinct.tolist(), layout.uses_datacenter.tolist()
+        )
+    ]
+    bounds = layout.offsets.tolist()
+    members = layout.members.tolist()
+    datacenter_of = layout.server_datacenter.tolist()
+    out = np.zeros(population.shape[0], dtype=np.int64)
+    for row, genome in enumerate(population.tolist()):
+        out[row] = sum(
+            group_violations(
+                code,
+                [genome[vm] for vm in members[bounds[g] : bounds[g + 1]]],
+                datacenter_of,
+            )
+            for g, code in enumerate(codes)
+        )
+    return out
+
+
+def _server_min_qos(usage, base_usage, capacity, max_load, max_qos):
+    load = loads_from_usage(usage + base_usage, capacity)
+    return qos_from_load(load, max_load, max_qos).min(axis=-1)
+
+
+_REFERENCE = {
+    "batch_usage": _batch_usage,
+    "batch_active": _batch_active,
+    "batch_over_counts": _batch_over_counts,
+    "batch_group_violations": _batch_group_violations,
+    "server_min_qos": _server_min_qos,
+}
+
+
+@contextmanager
+def reference_kernels() -> Iterator[None]:
+    """Run the scope with the reference functions in place of
+    :mod:`repro.engine.kernels`' own, restoring them on exit.
+
+    The swap is process-wide for the scope's duration (worker processes
+    keep the production functions), so use it from a single thread.
+    """
+    saved = {name: getattr(kernels, name) for name in _REFERENCE}
+    try:
+        for name, function in _REFERENCE.items():
+            setattr(kernels, name, function)
+        yield
+    finally:
+        for name, function in saved.items():
+            setattr(kernels, name, function)
+
+
+# ----------------------------------------------------------------------
+# The checker
+# ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class KernelMismatch:
-    """One array that differed between a backend and the reference."""
+    """One array that differed between the kernels and the reference."""
 
-    backend: str
     case: str  #: which fuzzed instance / edge case
     field: str  #: which compared array drifted
     message: str
 
     def __str__(self) -> str:
-        return (
-            f"[{self.backend}] {self.case}: {self.field} diverged from "
-            f"reference — {self.message}"
-        )
+        return f"{self.case}: {self.field} diverged from reference — {self.message}"
 
 
 @dataclass
 class KernelConformanceReport:
     """Outcome of one :func:`check_kernel_conformance` pass."""
 
-    backends: tuple[str, ...]
     seed: int
     cases: tuple[str, ...] = ()
     comparisons: int = 0
@@ -75,25 +197,23 @@ class KernelConformanceReport:
 
     @property
     def ok(self) -> bool:
-        """Whether every backend matched the reference byte for byte."""
+        """Whether every kernel matched the reference byte for byte."""
         return not self.mismatches
 
     def format(self) -> str:
         """Human-readable summary plus each mismatch."""
         header = (
-            f"kernel conformance: seed={self.seed} "
-            f"backends={list(self.backends)} over {len(self.cases)} cases — "
-            f"{self.comparisons} comparisons, "
+            f"kernel conformance: seed={self.seed} over {len(self.cases)} "
+            f"cases — {self.comparisons} comparisons, "
             f"{len(self.mismatches)} mismatches"
         )
         if self.ok:
-            return header + "\nall backends bitwise-identical to reference"
+            return header + "\nkernels bitwise-identical to reference"
         return "\n".join([header, *map(str, self.mismatches)])
 
 
 def _compare(
     report: KernelConformanceReport,
-    backend: str,
     case: str,
     pairs: dict[str, tuple[np.ndarray, np.ndarray]],
 ) -> None:
@@ -112,9 +232,7 @@ def _compare(
             drift = int(np.count_nonzero(ref != got))
             message = f"{drift} of {ref.size} entries differ"
         report.mismatches.append(
-            KernelMismatch(
-                backend=backend, case=case, field=name, message=message
-            )
+            KernelMismatch(case=case, field=name, message=message)
         )
 
 
@@ -194,21 +312,20 @@ def _cases(seed: int, instances: int):
     return out
 
 
-def _snapshot(compiled: CompiledProblem, population: np.ndarray) -> dict:
-    """Everything one backend computes for (instance, population)."""
+def _snapshot(compiled: CompiledProblem, population: np.ndarray, scatter) -> dict:
+    """Everything the kernels compute for (instance, population)."""
     evaluator = compiled.evaluator(include_assignment_constraint=True)
     capacity = evaluator.constraints.capacity
     infra = compiled.infrastructure
-    kern = active_kernel()
     population64 = np.ascontiguousarray(population, dtype=np.int64)
     usage = capacity.batch_usage(population64)
     out = {
         "batch_usage": usage,
-        "batch_over_counts": kern.batch_over_counts(
+        "batch_over_counts": kernels.batch_over_counts(
             usage, capacity._threshold
         ),
-        "batch_active": kern.batch_active(population64, infra.m),
-        "server_min_qos": kern.server_min_qos(
+        "batch_active": kernels.batch_active(population64, infra.m),
+        "server_min_qos": kernels.server_min_qos(
             usage,
             evaluator.downtime.base_usage,
             infra.capacity,
@@ -219,9 +336,7 @@ def _snapshot(compiled: CompiledProblem, population: np.ndarray) -> dict:
     if population64.shape[0]:
         row = population64[0]
         mask = row != UNPLACED
-        out["scatter_usage"] = kern.scatter_usage(
-            row[mask], compiled.demand[mask], infra.m
-        )
+        out["scatter_usage"] = scatter(row[mask], compiled.demand[mask], infra.m)
     result = evaluator.evaluate_population(population)
     out["objectives"] = result.objectives
     out["violations"] = result.violations
@@ -229,35 +344,18 @@ def _snapshot(compiled: CompiledProblem, population: np.ndarray) -> dict:
 
 
 def check_kernel_conformance(
-    *,
-    seed: int = 0,
-    instances: int = 3,
-    kernels: tuple[str, ...] | None = None,
+    *, seed: int = 0, instances: int = 3
 ) -> KernelConformanceReport:
-    """Prove bitwise backend equality on fuzzed + edge-case inputs.
-
-    ``kernels`` defaults to every registered backend (the numba backend
-    participates exactly when numba is importable); the ``reference``
-    backend is always the baseline and never compared against itself.
-    """
-    backends = tuple(kernels) if kernels is not None else available_kernels()
-    others = tuple(b for b in backends if b != "reference")
-    report = KernelConformanceReport(backends=backends, seed=seed)
-    registry = get_registry()
-    registry.count("verify.kernels.checks")
+    """Prove the kernels bitwise-equal to the reference on fuzzed +
+    edge-case inputs."""
+    report = KernelConformanceReport(seed=seed)
+    get_registry().count("verify.kernels.checks")
 
     cases = _cases(seed, instances)
     report.cases = tuple(name for name, _, _ in cases)
     for name, compiled, population in cases:
-        with use_kernel("reference"):
-            ref = _snapshot(compiled, population)
-        for backend in others:
-            with use_kernel(backend):
-                got = _snapshot(compiled, population)
-            _compare(
-                report,
-                backend,
-                name,
-                {key: (ref[key], got[key]) for key in ref},
-            )
+        with reference_kernels():
+            ref = _snapshot(compiled, population, _scatter_rows)
+        got = _snapshot(compiled, population, scatter_rows)
+        _compare(report, name, {key: (ref[key], got[key]) for key in ref})
     return report

@@ -1,12 +1,12 @@
-"""Unit tests for the kernel-backend layer (registry, edge cases, tiles).
+"""Unit tests for the batch kernels (edge cases, tiles, golden bytes).
 
-The heavy cross-backend sweep lives in
-:func:`repro.verify.check_kernel_conformance`; these tests pin down the
-registry semantics (selection, env var, scoped override), the
-structural edge cases vectorized code most often gets wrong — empty
-populations, all-UNPLACED rows, single-server estates, int32 genomes —
-and the satellite contracts around them (capacity retargeting, the
-repair usage tile, batch_violations overrides).
+The heavy sweep lives in :func:`repro.verify.check_kernel_conformance`;
+these tests pin down the structural edge cases vectorized code most
+often gets wrong — empty populations, all-UNPLACED rows, single-server
+estates, int32 genomes — against the independent reference, the
+reference seam itself, and the satellite contracts around the kernels
+(capacity retargeting, the repair usage tile, batch_violations
+overrides).
 """
 
 import warnings
@@ -17,29 +17,14 @@ import pytest
 from repro.constraints.base import Constraint
 from repro.constraints.capacity import CapacityConstraint
 from repro.constraints.load_cap import LoadCapConstraint
-from repro.engine import CompiledProblem
-from repro.engine.kernels import (
-    HAVE_NUMBA,
-    KERNEL_ENV_VAR,
-    GroupLayout,
-    available_kernels,
-    get_kernel,
-    resolve_kernel_name,
-    set_kernel,
-    use_kernel,
-)
-from repro.errors import DimensionError, ValidationError
+from repro.engine import CompiledProblem, kernels
+from repro.engine.kernels import GroupLayout
+from repro.errors import DimensionError
 from repro.model.placement import UNPLACED
 from repro.model.request import Request
 from repro.verify import check_kernel_conformance
+from repro.verify.kernels import reference_kernels
 from repro.workloads.generator import ScenarioGenerator, ScenarioSpec
-
-
-@pytest.fixture(autouse=True)
-def _restore_backend():
-    """Every test leaves the process-wide backend as it found it."""
-    with use_kernel(None):
-        yield
 
 
 def _compiled(servers=6, datacenters=2, vms=14, seed=5, tightness=0.8):
@@ -51,79 +36,56 @@ def _compiled(servers=6, datacenters=2, vms=14, seed=5, tightness=0.8):
     return CompiledProblem.compile(scenario.infrastructure, merged)
 
 
-class TestRegistry:
-    def test_reference_and_numpy_always_available(self):
-        names = available_kernels()
-        assert "reference" in names and "numpy" in names
-
-    def test_auto_resolution(self):
-        expected = "numba" if HAVE_NUMBA else "numpy"
-        assert resolve_kernel_name("auto") == expected
-
-    def test_env_var_resolution(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "reference")
-        assert resolve_kernel_name(None) == "reference"
-        monkeypatch.delenv(KERNEL_ENV_VAR)
-        assert resolve_kernel_name(None) == resolve_kernel_name("auto")
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValidationError, match="unknown kernel backend"):
-            resolve_kernel_name("fortran")
-
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba present on this host")
-    def test_numba_without_install_is_an_error_not_a_fallback(self):
-        with pytest.raises(ValidationError):
-            resolve_kernel_name("numba")
-
-    def test_get_kernel_is_singleton_per_backend(self):
-        assert get_kernel("numpy") is get_kernel("numpy")
-        assert get_kernel("numpy") is not get_kernel("reference")
-
-    def test_use_kernel_restores_previous(self):
-        before = set_kernel("numpy")
-        with use_kernel("reference") as kernel:
-            assert kernel.name == "reference"
-        from repro.engine.kernels import active_kernel
-
-        assert active_kernel() is before
+class TestReferenceSeam:
+    def test_restores_production_functions_when_the_body_raises(self):
+        production = {
+            name: getattr(kernels, name)
+            for name in (
+                "batch_usage",
+                "batch_active",
+                "batch_over_counts",
+                "batch_group_violations",
+                "server_min_qos",
+            )
+        }
+        with pytest.raises(RuntimeError, match="boom"):
+            with reference_kernels():
+                assert kernels.server_min_qos is not production["server_min_qos"]
+                raise RuntimeError("boom")
+        for name, function in production.items():
+            assert getattr(kernels, name) is function, name
 
 
 class TestEdgeCases:
-    """Satellite: structural edge cases byte-identical across backends."""
+    """Structural edge cases byte-identical to the reference."""
 
-    def _snapshots(self, compiled, population):
+    @staticmethod
+    def _bytes(compiled, population):
         evaluator = compiled.evaluator(include_assignment_constraint=True)
-        out = {}
-        for name in available_kernels():
-            with use_kernel(name):
-                result = evaluator.evaluate_population(population)
-                out[name] = (
-                    result.objectives.tobytes(),
-                    result.violations.tobytes(),
-                )
-        return out
+        result = evaluator.evaluate_population(population)
+        return result.objectives.tobytes(), result.violations.tobytes()
 
-    def _assert_identical(self, snapshots):
-        reference = snapshots.pop("reference")
-        for name, got in snapshots.items():
-            assert got == reference, f"{name} diverged from reference"
+    def _assert_identical(self, compiled, population):
+        with reference_kernels():
+            reference = self._bytes(compiled, population)
+        assert self._bytes(compiled, population) == reference
 
     def test_empty_population(self):
         compiled = _compiled()
         population = np.empty((0, compiled.request.n), dtype=np.int64)
-        self._assert_identical(self._snapshots(compiled, population))
+        self._assert_identical(compiled, population)
 
     def test_all_unplaced_rows(self):
         compiled = _compiled()
         population = np.full((4, compiled.request.n), UNPLACED, dtype=np.int64)
-        self._assert_identical(self._snapshots(compiled, population))
+        self._assert_identical(compiled, population)
 
     def test_single_server_estate(self):
         compiled = _compiled(servers=1, datacenters=1, vms=6, tightness=0.6)
         rng = np.random.default_rng(0)
         population = rng.integers(0, 1, size=(5, compiled.request.n))
         population[0, 0] = UNPLACED
-        self._assert_identical(self._snapshots(compiled, population))
+        self._assert_identical(compiled, population)
 
     def test_int32_genomes(self):
         compiled = _compiled()
@@ -131,10 +93,10 @@ class TestEdgeCases:
         population = rng.integers(
             0, compiled.m, size=(6, compiled.request.n)
         ).astype(np.int32)
-        self._assert_identical(self._snapshots(compiled, population))
+        self._assert_identical(compiled, population)
 
     def test_conformance_checker_clean(self):
-        # A zero-capacity attribute sends loads to inf; no backend may
+        # A zero-capacity attribute sends loads to inf; neither side may
         # warn on the way to QoS 0.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -289,19 +251,17 @@ class TestEvaluationGoldenBytes:
     @staticmethod
     def _snapshot(compiled, population) -> dict:
         infra = compiled.infrastructure
-        kernel = get_kernel("numpy")
-        with use_kernel("numpy"):
-            result = compiled.evaluator().evaluate_population(population)
-            # Every other objective mode, on a loaded estate.
-            variant = compiled.evaluator(
-                base_usage=0.3 * infra.capacity,
-                previous_assignment=population[0],
-                downtime_mode="literal",
-                per_server_operating=True,
-            ).evaluate_population(population)
-        usage = kernel.batch_usage(population, compiled.request.demand, infra.m)
+        result = compiled.evaluator().evaluate_population(population)
+        # Every other objective mode, on a loaded estate.
+        variant = compiled.evaluator(
+            base_usage=0.3 * infra.capacity,
+            previous_assignment=population[0],
+            downtime_mode="literal",
+            per_server_operating=True,
+        ).evaluate_population(population)
+        usage = kernels.batch_usage(population, compiled.request.demand, infra.m)
         qos = {
-            f"server_min_qos@{load}": kernel.server_min_qos(
+            f"server_min_qos@{load}": kernels.server_min_qos(
                 usage,
                 load * infra.capacity,
                 infra.capacity,

@@ -164,6 +164,24 @@ class TestCli:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig99"])
 
+    @pytest.mark.parametrize(
+        "recorded", [["--kernel", "numpy"], ["--kernel=reference"]]
+    )
+    def test_resume_drops_retired_kernel_flag(self, tmp_path, capsys, recorded):
+        from repro.runtime.checkpoint import atomic_write_json
+
+        # A manifest as written by a campaign started with the backend
+        # flag, which the parser no longer accepts.
+        atomic_write_json(
+            tmp_path / "manifest.json",
+            "campaign_manifest",
+            {"argv": ["table3", *recorded, "--seed", "3"]},
+        )
+        assert main(["resume", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert "resuming campaign: python -m repro table3 --seed 3" in captured.out
+        assert recorded[0] in captured.err
+
 
 class TestUNSGA3:
     _FAST = NSGAConfig(population_size=16, max_evaluations=320, seed=2)
