@@ -17,7 +17,9 @@ equals.
 
 Each genome's walk runs on a :class:`RepairState` that is updated per
 move rather than recounted; every comparison it feeds sees the floats a
-from-scratch recount would.
+from-scratch recount would.  A batch's walks share one attribute-major
+:class:`RepairBatch` and advance in lockstep: each step answers every
+walk that wants a target with one tensor pass.
 """
 
 from __future__ import annotations
@@ -32,50 +34,132 @@ from repro.engine.parallel import RepairParams
 from repro.errors import ValidationError
 from repro.model.infrastructure import Infrastructure
 from repro.model.request import Request
-from repro.tabu.neighborhood import NeighborFinder, TabuList
-from repro.telemetry import RepairInvoked, get_bus, get_registry
+from repro.tabu.neighborhood import NeighborFinder, TabuList, attribute_sum
+from repro.telemetry import (
+    HistogramSummary,
+    MetricsSnapshot,
+    RepairInvoked,
+    get_bus,
+    get_registry,
+)
 from repro.types import FloatArray, IntArray
 from repro.utils.rng import as_generator, derive_sequence, root_sequence
 
-__all__ = ["RepairState", "TabuRepair"]
+__all__ = ["RepairBatch", "RepairState", "TabuRepair"]
+
+#: Cells of usage per walked chunk, (rows * m * h): ~64 MB of float64.
+_TILE_CELLS = 8_000_000
+#: Moves per step from which :meth:`RepairBatch.move` updates all walks
+#: with one tensor op instead of walk by walk.
+_WIDE_STEP = 8
+
+
+class RepairBatch:
+    """The shared state of a batch of repair walks, kept current per step.
+
+    Attribute-major tensors over the batch's rows: ``usage`` (rows, h,
+    m), its ``residual`` ``limit - usage`` and ``over``, each server's
+    count of attributes over threshold (rows, m).  Row ``r`` belongs to
+    ``states[r]``, whose arrays are views into these.  :meth:`move`
+    re-hosts one VM in each of any subset of rows with the float
+    operations a one-genome walk performs, so every reader sees the
+    bits a from-scratch recount would.
+    """
+
+    def __init__(self, repair: TabuRepair, genomes: IntArray) -> None:
+        self._repair = repair
+        rows = genomes.shape[0]
+        tile = repair._usage_tile(genomes, np.arange(rows))
+        self.usage = np.ascontiguousarray(tile.transpose(0, 2, 1))
+        del tile
+        self.residual = repair._limit_t - self.usage
+        self.over = np.count_nonzero(self.usage > repair._threshold_t, axis=1)
+        h, m = repair._limit_t.shape
+        self._m = m
+        self._row_cells = h * m
+        self._attr_cells = np.arange(h) * m
+        self._usage_cells = self.usage.reshape(-1)
+        self._residual_cells = self.residual.reshape(-1)
+        self._over_cells = self.over.reshape(-1)
+        self.states = [RepairState(self, row, genomes[row]) for row in range(rows)]
+
+    def move(self, rows: list[int], vms: list[int], targets: list[int]) -> list[int]:
+        """Re-host ``vms[k]`` on ``targets[k]`` in walk ``rows[k]``, for
+        every k at once; returns the servers the VMs left.
+
+        A step of fewer than ``_WIDE_STEP`` moves goes walk by walk
+        (:meth:`RepairState.move`): one tensor op's fixed cost, the
+        index arrays and fancy gathers, is that of several scalar
+        updates.  Both write the same bits.
+        """
+        if len(rows) < _WIDE_STEP:
+            return [self.states[row].move(vm, t) for row, vm, t in zip(rows, vms, targets)]
+        repair = self._repair
+        m, row_cells = self._m, self._row_cells
+        states = [self.states[row] for row in rows]
+        olds = [state.genes[vm] for state, vm in zip(states, vms)]
+        # Each left server, then each target.  A server -1 (left by an
+        # unplaced VM) is the last server, as the one-genome walk
+        # indexes it.
+        servers = [old % m for old in olds] + targets
+        walks = rows + rows
+        cells = (
+            np.array([row * row_cells + s for row, s in zip(walks, servers)])[:, None]
+            + self._attr_cells
+        )
+        signed = np.array(vms + [vm + repair.request.n for vm in vms])
+        # usage[old] -= demand, then usage[target] += demand: ``add.at``
+        # applies the cells in order, so a target that is also the left
+        # server sees the first update (u - d == u + -d bit for bit).
+        usage = self._usage_cells
+        np.add.at(usage, cells, repair._signed_demand.take(signed, axis=0))
+        after = usage[cells]
+        attr_cells = cells % row_cells
+        self._residual_cells[cells] = repair._limit_t.reshape(-1)[attr_cells] - after
+        exceeds = after > repair._threshold_t.reshape(-1)[attr_cells]
+        self._over_cells[np.array([row * m + s for row, s in zip(walks, servers)])] = (
+            exceeds.sum(axis=1)
+        )
+        for state, vm, old, target in zip(states, vms, olds, targets):
+            state._rehost(vm, old, target)
+        return olds
 
 
 class RepairState:
-    """One genome's repair walk, kept current move by move.
+    """One genome's repair walk: row ``row`` of a :class:`RepairBatch`.
 
     Holds the assignment (an int array for the cost sum and the
-    returned plan, a list for scalar reads), the usage matrix, the
-    residual ``limit - usage``, each server's count of attributes over
-    threshold and each group's violation count.  :meth:`move` updates
-    usage with the walk's own float operations and recounts only the
-    two touched servers and the moved VM's groups, so every reader sees
-    the bits a from-scratch recount would.
-
-    ``assignment`` and ``usage`` are owned (mutated in place).
+    returned plan, a list for scalar reads), views of the batch's
+    attribute-major ``usage`` and ``residual`` (h, m) and ``over`` (m,),
+    each group's violation count and the walk's tabu memory.
     """
 
-    def __init__(
-        self, repair: TabuRepair, assignment: IntArray, usage: FloatArray
-    ) -> None:
+    def __init__(self, batch: RepairBatch, row: int, assignment: IntArray) -> None:
+        repair = batch._repair
         self._repair = repair
-        finder = repair.finder
-        self.assignment = assignment
-        self.genes: list[int] = assignment.tolist()
-        self.usage = usage
-        self.residual = finder.limit - usage
-        self.over: list[int] = np.count_nonzero(
-            usage > repair._threshold, axis=1
-        ).tolist()
+        # The batch's flat tensors, not the batch: a state that held
+        # its batch would be a reference cycle, kept alive until the
+        # cyclic collector runs.
+        self._usage_cells = batch._usage_cells
+        self._residual_cells = batch._residual_cells
+        self._first_cell = row * batch._row_cells
+        self.row = row
+        self.assignment = assignment.copy()
+        self.genes: list[int] = self.assignment.tolist()
+        self.usage = batch.usage[row]
+        self.residual = batch.residual[row]
+        self.over = batch.over[row]
         self.group_viol: list[int] = [
-            self._count_group(gi) for gi in range(len(finder._members))
+            self._count_group(gi) for gi in range(len(repair.finder._members))
         ]
+        self.tabu = TabuList(tenure=repair.tenure)
 
     def _count_group(self, gi: int) -> int:
         finder, genes = self._repair.finder, self.genes
         return group_violations(
             finder._rule_codes[gi],
             [genes[k] for k in finder._members[gi]],
-            self._repair._dc_list,
+            finder._dc_of,
         )
 
     # -- readers ---------------------------------------------------------
@@ -105,27 +189,42 @@ class RepairState:
         """(violations, usage cost) — the lexicographic ideal-point key."""
         assignment = self.assignment
         cost = float(self._repair._cost_rate[assignment[assignment >= 0]].sum())
-        return sum(self.over) + sum(self.group_viol), cost
+        return int(self.over.sum()) + sum(self.group_viol), cost
 
     # -- update ----------------------------------------------------------
     def move(self, vm: int, target: int) -> int:
         """Re-host ``vm`` on ``target``; returns the server it left."""
         repair = self._repair
         old = self.genes[vm]
-        demand = repair.request.demand[vm]
-        usage = self.usage
-        usage[old] -= demand
-        usage[target] += demand
+        usage, residual = self._usage_cells, self._residual_cells
+        limit, threshold = repair._limit_cells, repair._threshold_cells
+        first = self._first_cell
+        m = len(self.over)
+        # usage[old] -= demand, then usage[target] += demand, each
+        # server's h cells in Python floats (IEEE doubles, as numpy's;
+        # u - d == u + -d).  A server -1 (left by an unplaced VM) is the
+        # last server, as the one-genome walk indexes it.
+        for server, delta in (
+            (old % m, repair._demand_rows[vm][0]),
+            (target, repair._demand_rows[vm][1]),
+        ):
+            over = 0
+            for cell, d in zip(range(server, len(limit), m), delta):
+                value = usage.item(first + cell) + d
+                usage[first + cell] = value
+                residual[first + cell] = limit[cell] - value
+                over += value > threshold[cell]
+            self.over[server] = over
+        self._rehost(vm, old, target)
+        return old
+
+    def _rehost(self, vm: int, old: int, target: int) -> None:
+        """The scalar bookkeeping of a move: genes, groups, tabu."""
         self.assignment[vm] = target
         self.genes[vm] = target
-        limit, threshold = repair.finder.limit, repair._threshold
-        for server in (old, target):
-            row = usage[server]
-            np.subtract(limit[server], row, out=self.residual[server])
-            self.over[server] = int(np.count_nonzero(row > threshold[server]))
-        for gi in repair.finder._groups_of_vm[vm]:
+        for gi in self._repair.finder._groups_of_vm[vm]:
             self.group_viol[gi] = self._count_group(gi)
-        return old
+        self.tabu.add(vm, old)
 
 
 class TabuRepair:
@@ -206,19 +305,32 @@ class TabuRepair:
             if compiled is not None
             else infrastructure.operating_cost + infrastructure.usage_cost
         )
-        # Walk tables, hoisted out of the per-genome state.
-        self._threshold = self.constraints.capacity._threshold
-        self._dc_list = infrastructure.server_datacenter.tolist()
+        # Walk tables, hoisted out of the per-genome state; the capacity
+        # tables attribute-major, as the batch tensors are.
+        self._limit_t = np.ascontiguousarray(self.finder.limit.T)
+        self._threshold_t = np.ascontiguousarray(
+            self.constraints.capacity._threshold.T
+        )
+        # Row vm subtracts a VM's demand, row n + vm adds it.
+        self._signed_demand = np.concatenate((-request.demand, request.demand))
+        # The same as Python floats, for one walk's moves: per VM, the
+        # (negated, plain) demand; per (attribute, server) cell, the
+        # limit and threshold.
+        self._demand_rows = list(
+            zip((-request.demand).tolist(), request.demand.tolist())
+        )
+        self._limit_cells = self._limit_t.ravel().tolist()
+        self._threshold_cells = self._threshold_t.ravel().tolist()
         self._grouped = np.zeros(request.n, dtype=bool)
         for group in request.groups:
             self._grouped[list(group.members)] = True
         self.repaired_individuals = 0
         self.moves_performed = 0
         #: Optional wall-clock cutoff (``time.perf_counter`` stamp) set
-        #: by the EA loop when its config carries a ``time_limit``; the
-        #: repair rounds and the per-population row loop both stop once
-        #: it has passed, so one pathological repair cannot blow through
-        #: the run's budget.  NOTE: a deadline makes results timing-
+        #: by the EA loop when its config carries a ``time_limit``; every
+        #: walk of a batch stops at its next check once it has passed,
+        #: so one pathological repair cannot blow through the run's
+        #: budget.  NOTE: a deadline makes results timing-
         #: dependent — runs relying on byte-identical determinism
         #: (parallel/resume verification) leave ``time_limit`` unset.
         self.deadline: float | None = None
@@ -254,75 +366,64 @@ class TabuRepair:
         self.moves_performed = int(state.get("moves_performed", 0))
 
     # ------------------------------------------------------------------
-    def _least_overflow_move(
-        self, state: RepairState, vm: int, tabu: TabuList
-    ) -> int | None:
-        """Worsening-tolerant tabu move: when no strictly valid server
-        exists, relocate to the server that adds the least capacity
-        overflow, preferring affinity-consistent targets.  This is what
-        lets the walk escape local optima instead of stalling, at the
-        price of temporarily shifted violations (bounded by the
-        best-state tracking in :meth:`repair_genome`)."""
-        demand = self.request.demand[vm]
-        limit = self.finder.limit
-        usage = state.usage
-        # Overflow added on each prospective target.
-        after = np.maximum(0.0, usage + demand[None, :] - limit)
-        before = np.maximum(0.0, usage - limit)
-        added = (after - before).sum(axis=1)
-        candidates = np.ones(limit.shape[0], dtype=bool)
-        candidates[state.genes[vm]] = False
-        for server in tabu.forbidden_servers(vm):
-            candidates[server] = False
-        if not candidates.any():
-            return None
-        affinity_ok = self.finder.affinity_mask(state.genes, vm) & candidates
-        pool = affinity_ok if affinity_ok.any() else candidates
-        idx = np.flatnonzero(pool)
-        return int(idx[np.argmin(added[idx])])
+    def _least_overflow_rows(
+        self, batch: RepairBatch, rows: list[int], vms: list[int]
+    ) -> list[int | None]:
+        """Worsening-tolerant tabu move for each ``(rows[k], vms[k])``
+        whose walk found no strictly valid server: relocate to the
+        server that adds the least capacity overflow, preferring
+        affinity-consistent targets.  This is what lets the walk escape
+        local optima instead of stalling, at the price of temporarily
+        shifted violations (bounded by the walk's best-state tracking).
+        None where every server is the current host or tabu."""
+        m = self.finder.limit.shape[0]
+        limit = self._limit_t
+        # Overflow each prospective target would add, per walk.
+        after = batch.usage[rows]
+        before = after - limit
+        np.maximum(0.0, before, out=before)
+        after += self.request.demand[vms][:, :, None]
+        after -= limit
+        np.maximum(0.0, after, out=after)
+        after -= before
+        added = attribute_sum(after)
+        # The current host (server -1, for an unplaced VM, is the last
+        # one) and the tabu servers are no candidates.
+        states = [batch.states[row] for row in rows]
+        excluded: list[int] = []
+        for k, (state, vm) in enumerate(zip(states, vms)):
+            excluded.append(k * m + state.genes[vm] % m)
+            for server in state.tabu.forbidden_servers(vm):
+                excluded.append(k * m + server % m)
+        added.put(excluded, np.inf)
+        picks = added.argmin(axis=1).tolist()
+        groups_of_vm = self.finder._groups_of_vm
+        targets: list[int | None] = []
+        for k, (state, vm) in enumerate(zip(states, vms)):
+            pick = picks[k]
+            if groups_of_vm[vm]:
+                affine = np.where(
+                    self.finder.affinity_mask(state.genes, vm), added[k], np.inf
+                )
+                best = int(affine.argmin())
+                if affine[best] < np.inf:
+                    pick = best
+            targets.append(pick if added.item(k, pick) < np.inf else None)
+        return targets
 
     # ------------------------------------------------------------------
-    def repair_genome(
-        self,
-        assignment: IntArray,
-        rng=None,
-        *,
-        usage: FloatArray | None = None,
-        known_infeasible: bool = False,
-    ) -> IntArray:
-        """Repair one genome (Fig. 5).  Returns a new array.
+    def _walk(self, state: RepairState, rng):
+        """One genome's repair rounds (Fig. 5), as a generator.
 
-        ``rng`` overrides the repairer's own stream; population repair
-        passes a per-individual generator derived from the root seed so
-        the walk is a pure function of (seed, batch, row) — identical
-        whether this runs in-process or in a pool worker.
-
-        ``usage`` optionally supplies this genome's (m, h) usage matrix
-        (one row of the batch tile population repair scores up front);
-        it must equal ``capacity.server_usage(assignment)`` bitwise,
-        which rows of :meth:`CapacityConstraint.batch_usage` do by the
-        kernel conformance contract.  ``known_infeasible`` skips the
-        redundant feasibility pre-check for callers that already
-        batch-screened the population.
+        Yields each VM that needs a target; :meth:`_lockstep` answers
+        whether it moved the VM.  Returns ``(best assignment, best
+        score, moves)``, the assignment None while the input is still
+        best.
         """
-        if rng is None:
-            rng = self._rng
-        assignment = np.asarray(assignment, dtype=np.int64).copy()
-        if not known_infeasible and self.constraints.is_feasible(assignment):
-            return assignment
-
-        self.repaired_individuals += 1
-        moves_before = self.moves_performed
-        tabu = TabuList(tenure=self.tenure)
-        if usage is None:
-            usage = self.constraints.capacity.server_usage(assignment)
-        else:
-            usage = np.array(usage, dtype=np.float64)  # owned, mutated below
-        state = RepairState(self, assignment, usage)
-        best = assignment.copy()
+        best = None
         best_score = state.score()
+        moves = 0
         stall_rounds = 0
-
         for _ in range(self.max_rounds):
             if self._deadline_passed():
                 break
@@ -344,26 +445,13 @@ class TabuRepair:
                 # VM's server or group; moving it too would overshoot.
                 if not state.still_faulty(vm):
                     continue
-                target = self.finder.find(
-                    state.usage,
-                    state.genes,
-                    vm,
-                    tabu=tabu,
-                    order=self.order,
-                    rng=rng,
-                    residual=state.residual,
-                )
-                if target is None and self.allow_worsening_moves:
-                    target = self._least_overflow_move(state, vm, tabu)
-                if target is None:
-                    continue  # findNeighbor fell through: leave the gene
-                tabu.add(vm, state.move(vm, target))
-                self.moves_performed += 1
-                moved_any = True
+                if (yield vm):
+                    moves += 1
+                    moved_any = True
             score = state.score()
             if score < best_score:
                 best_score = score
-                best = assignment.copy()
+                best = state.assignment.copy()
                 stall_rounds = 0
             else:
                 stall_rounds += 1
@@ -371,19 +459,144 @@ class TabuRepair:
                 break
             if not moved_any or stall_rounds >= 3:
                 break  # stuck (no move, or three rounds without progress)
+        return best, best_score, moves
 
-        moves = self.moves_performed - moves_before
-        registry = get_registry()
-        registry.count("tabu.repair.individuals", repairer="tabu")
-        registry.count("tabu.repair.moves", moves, repairer="tabu")
+    def _lockstep(self, genomes: IntArray, rngs: list) -> None:
+        """Repair every row of ``genomes`` in place (row ``r`` drawing
+        from ``rngs[r]``), all walks in lockstep.
+
+        Each step answers every pending walk at once: one capacity test,
+        pick and (for walks with no valid server) least-overflow
+        fallback over the batch's attribute-major tensors, then one
+        tensor update for all the moves.  The walks are independent, so
+        each one's result equals walking it alone.
+        """
+        if self._deadline_passed():
+            return  # pass-through: no round could start
+        batch = RepairBatch(self, genomes)
+        states = batch.states
+        walks = [self._walk(state, rng) for state, rng in zip(states, rngs)]
+        outcomes: list = [None] * len(walks)
+        active: list[int] = []
+        pending: list[int] = []
+
+        def resume(row: int, answer) -> None:
+            try:
+                vm = walks[row].send(answer)
+            except StopIteration as done:
+                outcomes[row] = done.value
+            else:
+                active.append(row)
+                pending.append(vm)
+
+        for row in range(len(walks)):
+            resume(row, None)
+        # Walks only ever drop out, so the first step is the widest.
+        widest = width = len(active)
+        steps = answered = 0
+        while active:
+            width = len(active)
+            targets = self.finder.find_rows(
+                # Every walk pending: the tensor itself, no gather.
+                batch.residual if width == len(walks) else batch.residual[active],
+                [states[row].genes for row in active],
+                pending,
+                [states[row].tabu for row in active],
+                self.order,
+                [rngs[row] for row in active],
+            )
+            if None in targets and self.allow_worsening_moves:
+                stuck = [k for k, target in enumerate(targets) if target is None]
+                rescued = self._least_overflow_rows(
+                    batch, [active[k] for k in stuck], [pending[k] for k in stuck]
+                )
+                for k, target in zip(stuck, rescued):
+                    targets[k] = target
+            if None in targets:
+                moved = [k for k, target in enumerate(targets) if target is not None]
+                batch.move(
+                    [active[k] for k in moved],
+                    [pending[k] for k in moved],
+                    [targets[k] for k in moved],
+                )
+            else:
+                batch.move(active, pending, targets)
+            steps += 1
+            answered += width
+            stepped = active
+            active, pending = [], []
+            for row, target in zip(stepped, targets):
+                resume(row, target is not None)
+
+        moves = 0
         bus = get_bus()
-        if bus.enabled:
-            bus.emit(
-                RepairInvoked(
-                    repairer="tabu", moves=moves, repaired=best_score[0] == 0
+        for row, (best, best_score, walk_moves) in enumerate(outcomes):
+            if best is not None:
+                genomes[row] = best
+            moves += walk_moves
+            if bus.enabled:
+                bus.emit(
+                    RepairInvoked(
+                        repairer="tabu", moves=walk_moves, repaired=best_score[0] == 0
+                    )
+                )
+        self.repaired_individuals += len(walks)
+        self.moves_performed += moves
+        registry = get_registry()
+        registry.count("tabu.repair.individuals", len(walks), repairer="tabu")
+        registry.count("tabu.repair.moves", moves, repairer="tabu")
+        registry.count("tabu.repair.steps", steps)
+        if steps:
+            registry.merge(
+                MetricsSnapshot(
+                    histograms={
+                        "tabu.repair.step_walks": HistogramSummary(
+                            steps, float(answered), float(width), float(widest)
+                        )
+                    }
                 )
             )
-        return best
+
+    # ------------------------------------------------------------------
+    def repair_genome(self, assignment: IntArray, rng=None) -> IntArray:
+        """Repair one genome (Fig. 5).  Returns a new array.
+
+        ``rng`` overrides the repairer's own stream; population repair
+        derives one generator per individual from the root seed, so a
+        walk is a pure function of (seed, batch, row) — identical
+        whether it runs alone, in a batch or in a pool worker.
+        """
+        repaired = np.array(assignment, dtype=np.int64)
+        if not self.constraints.is_feasible(repaired):
+            self._lockstep(repaired[None], [self._rng if rng is None else rng])
+        return repaired
+
+    def repair_batch(
+        self,
+        genomes: IntArray,
+        rows: IntArray,
+        *,
+        root: np.random.SeedSequence,
+        batch_index: int,
+    ) -> IntArray:
+        """Repair batch-screened infeasible genomes in place, walking
+        them in lockstep (in row chunks under the usage-tile cap), and
+        return them.
+
+        ``rows`` carries the genomes' population indices: genome ``k``
+        walks on ``derive_sequence(root, batch_index, rows[k])``.  Both
+        population repair and the pool workers call this.
+        """
+        m, h = self.finder.limit.shape
+        chunk = max(1, _TILE_CELLS // (m * h))
+        for start in range(0, len(rows), chunk):
+            part = slice(start, start + chunk)
+            rngs = [
+                np.random.default_rng(derive_sequence(root, batch_index, int(row)))
+                for row in rows[part]
+            ]
+            self._lockstep(genomes[part], rngs)
+        return genomes
 
     # ------------------------------------------------------------------
     def __call__(self, population: IntArray) -> IntArray:
@@ -431,43 +644,24 @@ class TabuRepair:
             if fanned is not None:
                 repaired[rows] = fanned
                 return repaired
-            # Engine degraded: fall through to the serial loop, which
-            # derives the very same per-row streams — same bytes out.
+            # Engine degraded: repair here instead, on the very same
+            # per-row streams — same bytes out.
 
-        tile = self._usage_tile(population, rows)
-        for local, i in enumerate(rows):
-            if self._deadline_passed():
-                break  # remaining rows pass through unrepaired
-            rng = np.random.default_rng(
-                derive_sequence(self._root_seq, batch_index, int(i))
-            )
-            repaired[i] = self.repair_genome(
-                population[i],
-                rng=rng,
-                usage=None if tile is None else tile[local],
-                known_infeasible=True,
-            )
+        repaired[rows] = self.repair_batch(
+            population[rows], rows, root=self._root_seq, batch_index=batch_index
+        )
         return repaired
 
-    def _usage_tile(
-        self, population: IntArray, rows: IntArray
-    ) -> FloatArray | None:
-        """Score the whole infeasible batch's usage as one kernel tile.
+    def _usage_tile(self, population: IntArray, rows: IntArray) -> FloatArray | None:
+        """Score the batch's usage as one kernel tile (rows, m, h).
 
         Rows of the tile are bitwise-equal to per-genome
-        ``server_usage`` scatters (kernel conformance contract), so
-        handing ``tile[local]`` to :meth:`repair_genome` changes no
-        result — it only replaces ``rows`` individual scatter-adds
-        with one vectorized pass.  Falls back to per-row scatters when
-        the tile would be unreasonably large.
+        ``server_usage`` scatters (kernel conformance contract).
+        ``None`` for an empty ``rows``.
         """
-        if rows.size == 0 or self._deadline_passed():
+        if rows.size == 0:
             return None
-        capacity = self.constraints.capacity
-        m, h = capacity.limit.shape
-        if rows.size * m * h > 8_000_000:  # ~64 MB of float64: not worth it
-            return None
-        tile = capacity.batch_usage(population[rows])
+        tile = self.constraints.capacity.batch_usage(population[rows])
         registry = get_registry()
         registry.count("engine.kernel.repair_tiles")
         registry.count("engine.kernel.repair_tile_rows", int(rows.size))

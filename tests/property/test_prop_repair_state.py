@@ -2,10 +2,14 @@
 from-scratch recount after every move of a random walk.
 
 The repair reads its fault set, its per-VM re-checks and its
-ideal-point score from :class:`repro.tabu.repair.RepairState`, which
-recounts only the two touched servers and the moved VM's groups per
-move.  Here every move is followed by a full recount through
-:class:`~repro.constraints.ConstraintSet` and ``limit - server_usage``.
+ideal-point score from :class:`repro.tabu.repair.RepairState`, a row of
+a :class:`~repro.tabu.repair.RepairBatch` whose attribute-major (h, m)
+usage and residual recount only the two touched servers and the moved
+VM's groups per move.  Here every move is followed by a full recount
+through :class:`~repro.constraints.ConstraintSet` and
+``limit - server_usage``.  Moves go walk by walk
+(:meth:`RepairState.move`) and, for a wide batch, as one tensor update
+(:meth:`RepairBatch.move`); the two must write the same bits.
 """
 
 import numpy as np
@@ -14,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.engine import CompiledProblem
 from repro.model import AttributeSchema, Infrastructure, PlacementGroup, Request
-from repro.tabu.repair import RepairState, TabuRepair
+from repro.tabu.repair import _WIDE_STEP, RepairBatch, RepairState, TabuRepair
 from repro.types import PlacementRule
 
 
@@ -68,11 +72,12 @@ def _assert_parity(state: RepairState, repair: TabuRepair) -> None:
     )
 
     # The residual is the state's own ``limit - usage`` bit for bit, and
-    # that usage tracks a fresh scatter up to float reassociation.
+    # that usage tracks a fresh scatter up to float reassociation.  Both
+    # are attribute-major (h, m) views of the batch's tensors.
     limit = repair.finder.limit
-    assert np.array_equal(state.residual, limit - state.usage)
+    assert np.array_equal(state.residual.T, limit - state.usage.T)
     np.testing.assert_allclose(
-        state.residual,
+        state.residual.T,
         limit - constraints.capacity.server_usage(assignment),
         rtol=0.0,
         atol=1e-9,
@@ -111,9 +116,7 @@ def test_random_moves_track_full_recount(instance, seed, with_base, compiled):
         compiled=CompiledProblem(infra, request) if compiled else None,
     )
     assignment = rng.integers(0, infra.m, size=request.n)
-    state = RepairState(
-        repair, assignment.copy(), repair.constraints.capacity.server_usage(assignment)
-    )
+    state = RepairBatch(repair, assignment[None]).states[0]
     _assert_parity(state, repair)
     for _ in range(30):
         vm = int(rng.integers(request.n))
@@ -122,3 +125,37 @@ def test_random_moves_track_full_recount(instance, seed, with_base, compiled):
         old = state.genes[vm]
         assert state.move(vm, target) == old
         _assert_parity(state, repair)
+
+
+@given(instances(), st.integers(0, 2**31 - 1), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_tensor_moves_equal_walk_by_walk_moves(instance, seed, with_base):
+    """A wide step's one tensor update writes the bits that moving each
+    walk on its own does, and every row keeps parity with a recount."""
+    infra, request = instance
+    rng = np.random.default_rng(seed)
+    base = (
+        rng.uniform(0.0, 0.4, size=(infra.m, infra.h)) * infra.effective_capacity
+        if with_base
+        else None
+    )
+    repair = TabuRepair(infra, request, base_usage=base)
+    rows = _WIDE_STEP + 2
+    genomes = rng.integers(0, infra.m, size=(rows, request.n))
+    tensor = RepairBatch(repair, genomes)
+    walk_by_walk = RepairBatch(repair, genomes)
+    for _ in range(10):
+        vms = rng.integers(request.n, size=rows).tolist()
+        targets = []
+        for state, vm in zip(tensor.states, vms):
+            target = int(rng.integers(infra.m - 1))
+            targets.append(target + (target >= state.genes[vm]))
+        olds = tensor.move(list(range(rows)), vms, targets)
+        assert olds == [
+            state.move(vm, target)
+            for state, vm, target in zip(walk_by_walk.states, vms, targets)
+        ]
+        for name in ("usage", "residual", "over"):
+            assert getattr(tensor, name).tobytes() == getattr(walk_by_walk, name).tobytes()
+        for state in tensor.states:
+            _assert_parity(state, repair)
