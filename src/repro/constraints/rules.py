@@ -1,9 +1,10 @@
 """The four group-rule semantics (Eq. 9-12) as one scalar count.
 
 The constraint classes score whole populations with numpy; the
-move-at-a-time layers (the incremental evaluator, the tabu repair state)
-recount a single group after every move, where numpy's per-call
-dispatch on 2-8 element arrays dominates.  :func:`group_violations` is
+move-at-a-time incremental evaluator recounts a single group after
+every move, where numpy's per-call dispatch on 2-8 element arrays
+dominates.  (The tabu repair recounts a whole batch's moved groups at
+once, with :func:`repro.engine.kernels.group_row_violations`.)  :func:`group_violations` is
 that scalar count, on integer rule codes and Python sets, with exactly
 the constraint classes' integer results:
 

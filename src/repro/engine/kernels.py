@@ -32,6 +32,7 @@ __all__ = [
     "batch_group_violations",
     "batch_over_counts",
     "batch_usage",
+    "group_row_violations",
     "server_min_qos",
 ]
 
@@ -89,35 +90,55 @@ class GroupLayout:
         """
         if not constraints:
             return None
-        members_parts: list[np.ndarray] = []
-        counts_distinct: list[bool] = []
-        uses_datacenter: list[bool] = []
+        members, rules = [], []
         for constraint in constraints:
-            entry = _RULE_TABLE.get(getattr(constraint, "name", None))
+            rule = getattr(constraint, "name", None)
             idx = getattr(constraint, "_idx", None)
-            if entry is None or idx is None:
+            if rule not in _RULE_TABLE or idx is None:
                 return None
-            members_parts.append(np.asarray(idx, dtype=np.int64))
-            counts_distinct.append(entry[0])
-            uses_datacenter.append(entry[1])
-        sizes = np.array([part.shape[0] for part in members_parts], dtype=np.int64)
+            members.append(idx)
+            rules.append(rule)
+        return GroupLayout._assemble(members, rules, server_datacenter, m)
+
+    @staticmethod
+    def from_groups(groups, server_datacenter: IntArray, m: int) -> "GroupLayout":
+        """Layout for a request's placement groups
+        (any number, none included)."""
+        return GroupLayout._assemble(
+            [group.members for group in groups],
+            [group.rule.value for group in groups],
+            server_datacenter,
+            m,
+        )
+
+    @staticmethod
+    def _assemble(members, rules, server_datacenter: IntArray, m: int) -> "GroupLayout":
+        parts = [np.asarray(part, dtype=np.int64) for part in members]
+        sizes = np.array([part.shape[0] for part in parts], dtype=np.int64)
         offsets = np.zeros(sizes.shape[0] + 1, dtype=np.int64)
         np.cumsum(sizes, out=offsets[1:])
-        segments = np.repeat(
-            np.arange(sizes.shape[0], dtype=np.int64), sizes
-        )
+        segments = np.repeat(np.arange(sizes.shape[0], dtype=np.int64), sizes)
         server_datacenter = np.asarray(server_datacenter, dtype=np.int64)
         max_dc = int(server_datacenter.max()) if server_datacenter.size else 0
         radix = max(int(m), max_dc + 1) + 1
         return GroupLayout(
-            members=np.concatenate(members_parts),
+            members=np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64),
             segments=segments,
             offsets=offsets,
-            counts_distinct=np.asarray(counts_distinct, dtype=bool),
-            uses_datacenter=np.asarray(uses_datacenter, dtype=bool),
+            counts_distinct=np.array([_RULE_TABLE[r][0] for r in rules], dtype=bool),
+            uses_datacenter=np.array([_RULE_TABLE[r][1] for r in rules], dtype=bool),
             server_datacenter=server_datacenter,
             radix=radix,
         )
+
+    def member_table(self, pad: int) -> IntArray:
+        """(G, widest group) member indices, each row padded with ``pad``."""
+        sizes = np.diff(self.offsets)
+        table = np.full((self.n_groups, int(sizes.max(initial=1))), pad, dtype=np.int64)
+        table[self.segments, np.arange(self.members.shape[0]) - self.offsets[self.segments]] = (
+            self.members
+        )
+        return table
 
 
 def batch_usage(population: IntArray, demand: FloatArray, m: int) -> FloatArray:
@@ -185,19 +206,45 @@ def batch_group_violations(population: IntArray, layout: GroupLayout) -> IntArra
     comp.sort(axis=1)
     sentinel = seg_base + (radix - 1)
     placed_sorted = comp != sentinel[None, :]
-    # A "start" is the first occurrence of a placed location inside
-    # its segment: distinct count = number of starts per segment.
-    starts = placed_sorted.copy()
-    starts[:, 1:] &= comp[:, 1:] != comp[:, :-1]
+    # Distinct count = number of first occurrences per segment.
+    starts = _first_occurrences(comp, placed_sorted)
     cuts = layout.offsets[:-1]
     distinct = np.add.reduceat(starts, cuts, axis=1)
     placed_counts = np.add.reduceat(placed_sorted, cuts, axis=1)
-    violations = np.where(
-        layout.counts_distinct[None, :],
-        np.maximum(distinct - 1, 0),
-        placed_counts - distinct,
-    )
+    violations = _rule_charge(layout.counts_distinct[None, :], distinct, placed_counts)
     return violations.sum(axis=1).astype(np.int64)
+
+
+def group_row_violations(
+    locations: IntArray, nowhere: int, counts_distinct: BoolArray
+) -> IntArray:
+    """Violations of P groups -> (P,) int64, scored as
+    :func:`batch_group_violations` scores a segment.
+
+    Row k of ``locations`` (P, W) holds group k's member locations
+    (servers, or datacenters for a datacenter rule), with ``nowhere``,
+    greater than every location, for unplaced members and padding;
+    ``counts_distinct[k]`` is the group's rule kind.
+    """
+    keys = np.sort(locations, axis=1)
+    placed = keys != nowhere
+    return _rule_charge(
+        counts_distinct, _first_occurrences(keys, placed).sum(axis=1), placed.sum(axis=1)
+    )
+
+
+def _first_occurrences(keys: IntArray, placed: BoolArray) -> BoolArray:
+    """In rows of sorted ``keys``, each placed key's first occurrence."""
+    starts = placed.copy()
+    starts[:, 1:] &= keys[:, 1:] != keys[:, :-1]
+    return starts
+
+
+def _rule_charge(counts_distinct, distinct, placed):
+    """The four rules' charge from a group's distinct locations and
+    placed members: ``max(distinct - 1, 0)`` for the co-location rules,
+    ``placed - distinct`` (collisions) for the others."""
+    return np.where(counts_distinct, np.maximum(distinct - 1, 0), placed - distinct)
 
 
 def server_min_qos(

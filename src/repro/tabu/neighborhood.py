@@ -5,9 +5,10 @@ re-hosting VM i is a *valid allocation*: the server has room for the
 VM's demand on every attribute, and the move does not break any
 affinity/anti-affinity group the VM belongs to.  The scan is vectorized
 — one boolean mask over all m servers per query, and one (queries, m)
-mask for a batch of independent queries — and a :class:`TabuList`
-removes recently vacated (vm, server) pairs from the candidate set so
-repeated repairs do not cycle.
+mask for a batch of independent queries — and tabu memory removes
+recently vacated (vm, server) pairs from the candidate set so repeated
+repairs do not cycle: a :class:`TabuList` per search, or one
+:class:`TabuMemory` table for a batch of repair walks.
 """
 
 from __future__ import annotations
@@ -16,19 +17,14 @@ from collections import deque
 
 import numpy as np
 
-from repro.constraints.rules import (
-    DIFFERENT_DATACENTERS,
-    DIFFERENT_SERVERS,
-    RULE_CODE,
-    SAME_DATACENTER,
-    SAME_SERVER,
-)
+from repro.engine.kernels import GroupLayout
 from repro.errors import ValidationError
 from repro.model.infrastructure import Infrastructure
+from repro.model.placement import UNPLACED
 from repro.model.request import Request
 from repro.types import BoolArray, FloatArray, IntArray
 
-__all__ = ["TabuList", "NeighborFinder", "attribute_sum"]
+__all__ = ["TabuList", "TabuMemory", "NeighborFinder", "attribute_sum"]
 
 _ORDERS = ("first", "best_fit", "random")
 
@@ -46,9 +42,7 @@ class TabuList:
             raise ValidationError(f"tenure must be >= 0, got {tenure}")
         self.tenure = int(tenure)
         self._entries: deque[tuple[int, int]] = deque()  # oldest first
-        # Per-VM index so findNeighbor's hot path is O(|tabu for vm|),
-        # not O(tenure) — this was the profiler's top line otherwise.
-        # Tuples, not sets: a batch of repair walks holds one list each.
+        # Per-VM index so a lookup is O(|tabu for vm|), not O(tenure).
         self._by_vm: dict[int, tuple[int, ...]] = {}
 
     def add(self, vm: int, server: int) -> None:
@@ -91,6 +85,52 @@ class TabuList:
 _NONE: tuple[int, ...] = ()
 
 
+class TabuMemory:
+    """The tabu lists of a batch of repair walks, one row per walk.
+
+    Row ``r`` is walk ``r``'s :class:`TabuList` as a least-recently-used
+    table of ``(vm, server, stamp)`` slots: a re-added pair takes a new
+    stamp in place, and a new pair fills an empty slot or evicts the
+    oldest stamp, exactly the deque's refresh and eviction.  Both calls
+    are one tensor op over the queried walks.
+    """
+
+    def __init__(self, rows: int, tenure: int, m: int) -> None:
+        if tenure < 0:
+            raise ValidationError(f"tenure must be >= 0, got {tenure}")
+        self.tenure = int(tenure)
+        self._m = m
+        self._first = np.arange(rows) * tenure
+        self.vms = np.full((rows, tenure), -1, dtype=np.int64)  # -1: empty
+        self.servers = np.zeros((rows, tenure), dtype=np.int64)
+        self.pairs = np.full((rows, tenure), -1, dtype=np.int64)  # vm * m + server
+        self.stamps = np.full((rows, tenure), -1, dtype=np.int64)
+        self._clock = 0
+
+    def add(self, rows: IntArray, vms: IntArray, servers: IntArray) -> None:
+        """Forbid ``vms[k]`` on ``servers[k]`` in walk ``rows[k]``; at
+        most one pair per walk."""
+        if self.tenure == 0 or rows.size == 0:
+            return
+        pairs = vms * self._m + servers
+        # The pair's own slot if held, else an empty (-1) one, else the
+        # oldest.
+        stamps = self.stamps[rows]
+        stamps[self.pairs[rows] == pairs[:, None]] = -2
+        cells = self._first[rows] + stamps.argmin(axis=1)
+        self.vms.reshape(-1)[cells] = vms
+        self.servers.reshape(-1)[cells] = servers
+        self.pairs.reshape(-1)[cells] = pairs
+        self.stamps.reshape(-1)[cells] = self._clock
+        self._clock += 1
+
+    def forbidden(self, rows: IntArray, vms: IntArray) -> tuple[IntArray, IntArray]:
+        """Every pair ``(k, server)`` with ``server`` tabu for ``vms[k]``
+        in walk ``rows[k]``, as a query index array and a server array."""
+        queries, slots = (self.vms[rows] == vms[:, None]).nonzero()
+        return queries, self.servers.reshape(-1).take(self._first[rows[queries]] + slots)
+
+
 class NeighborFinder:
     """Vectorized ``isValidAllocation`` over all servers at once.
 
@@ -102,8 +142,12 @@ class NeighborFinder:
         Committed usage from earlier windows (shrinks free capacity).
     compiled:
         Optional :class:`~repro.engine.CompiledProblem` of the same
-        instance; when given, its effective-capacity matrix and per-VM
-        group index are reused instead of recomputed.
+        instance; when given, its effective-capacity matrix is reused
+        instead of recomputed.
+
+    The batch methods read genes as a C-contiguous (walks, n + 1)
+    matrix whose last column is UNPLACED: padding entries of the group
+    tables name VM ``n``.
     """
 
     def __init__(
@@ -127,28 +171,45 @@ class NeighborFinder:
         # (elementwise, so the same floats as a per-call subtraction),
         # as an (h, 1) column per VM to broadcast over servers.
         self._need = (request.demand - 1e-9)[:, :, None]
-        # Group membership index: for each VM, the groups it belongs to.
-        if compiled is not None:
-            self._groups_of_vm: list[list[int]] = [
-                list(ids) for ids in compiled.member_groups
-            ]
-        else:
-            self._groups_of_vm = [[] for _ in range(request.n)]
-            for gi, group in enumerate(request.groups):
-                for member in group.members:
-                    self._groups_of_vm[member].append(gi)
-        # Hot-path tables, hoisted out of the per-query loops.
-        self._members = [list(group.members) for group in request.groups]
-        self._rule_codes = [RULE_CODE[group.rule] for group in request.groups]
-        self._dc_of = infrastructure.server_datacenter.tolist()
-        self._m = infrastructure.m
-        # Per datacenter, the mask of its servers and of all others.
-        self._in_dc = (
-            np.arange(infrastructure.g)[:, None] == infrastructure.server_datacenter
+        m, n = infrastructure.m, request.n
+        self._m = m
+        # Group tables: each group's members padded with VM n, and per
+        # slot each VM's groups padded with the dummy group G (VM n is
+        # in none).
+        self.layout = GroupLayout.from_groups(
+            request.groups, infrastructure.server_datacenter, m
         )
-        self._outside_dc = ~self._in_dc
-        self._no_groups_mask = np.ones(infrastructure.m, dtype=bool)
+        self.n_groups = groups = self.layout.n_groups
+        self.members = self.layout.member_table(pad=n)
+        groups_of_vm: list[list[int]] = [[] for _ in range(n + 1)]
+        for gi, group in enumerate(request.groups):
+            for member in group.members:
+                groups_of_vm[member].append(gi)
+        self.vm_groups = np.full((max(1, *map(len, groups_of_vm)), n + 1), groups)
+        for vm, ids in enumerate(groups_of_vm):
+            self.vm_groups[: len(ids), vm] = ids
+        # Locations: server s is s, datacenter d is m + d, and
+        # ``nowhere`` (m + g) stands for an unplaced member.  A group's
+        # member on server s (-1 if unplaced) is at
+        # ``_location[_location_base[group] + s]``.
+        dc_of = infrastructure.server_datacenter
+        self.nowhere = nowhere = m + infrastructure.g
+        self._location = np.concatenate(([nowhere], np.arange(m), [nowhere], m + dc_of))
+        self._location_base = np.where(self.layout.uses_datacenter, m + 2, 1)
+        self._dc_locations = m + dc_of
+        self._separates = ~self.layout.counts_distinct
+        self._no_groups_mask = np.ones(m, dtype=bool)
         self._no_groups_mask.setflags(write=False)
+
+    def member_locations(
+        self, genes: IntArray, rows: IntArray, groups: IntArray, members: IntArray
+    ) -> IntArray:
+        """(P, widest group): the locations of group ``groups[k]``'s
+        ``members[k]`` (its row of :attr:`members`) in walk
+        ``genes[rows[k]]``, ``nowhere`` for padding and unplaced
+        members."""
+        servers = genes.reshape(-1).take((rows * genes.shape[1])[:, None] + members)
+        return self._location.take(self._location_base[groups][:, None] + servers)
 
     # ------------------------------------------------------------------
     def capacity_mask(
@@ -173,45 +234,57 @@ class NeighborFinder:
 
         Other members are taken at their *current* positions; the mask
         is therefore the constraint-graph view the repair walks, one VM
-        at a time.
+        at a time.  One query of :meth:`affinity_masks`.
         """
-        if not self._groups_of_vm[vm]:
+        if self.vm_groups[0, vm] == self.n_groups:
             return self._no_groups_mask
-        mask = self._no_groups_mask.copy()
-        self.restrict_to_groups(mask, assignment, vm)
-        return mask
+        return self.affinity_masks(_with_pad(assignment), _ROW0, np.array([vm]))[0]
 
-    def restrict_to_groups(
-        self, mask: BoolArray, assignment: IntArray, vm: int
-    ) -> None:
-        """``mask &= affinity_mask(assignment, vm)``, in place."""
-        dc_of = self._dc_of
-        for gi in self._groups_of_vm[vm]:
-            placed = [assignment[k] for k in self._members[gi] if k != vm]
-            placed = [s for s in placed if s >= 0]
-            if not placed:
-                continue
-            code = self._rule_codes[gi]
-            if code == SAME_SERVER:
-                # Any current member server is progress: joining one
-                # strictly reduces the distinct-location count, and the
-                # capacity mask steers the group toward a member server
-                # that actually has room.
-                allowed = np.zeros(self._m, dtype=bool)
-                allowed[placed] = True
-                mask &= allowed
-            elif code == DIFFERENT_SERVERS:
-                mask[placed] = False
+    def affinity_masks(
+        self, genes: IntArray, rows: IntArray, vms: IntArray
+    ) -> BoolArray | None:
+        """(q, m): row k masks the servers where VM ``vms[k]`` violates
+        none of its groups in walk ``genes[rows[k]]``; one tensor op
+        over every (query, group) pair.  None when no VM is in a group.
+
+        Each pair's group marks the locations of its other placed
+        members.  A co-location rule then allows only marked servers
+        (when any member is placed), a separation rule only unmarked
+        ones.  Joining any current member's server or datacenter
+        strictly reduces a co-location group's distinct count, and the
+        capacity mask steers the group toward one that has room.
+        """
+        slot_groups = self.vm_groups[:, vms]
+        slots, queries = (slot_groups < self.n_groups).nonzero()
+        if queries.size == 0:
+            return None
+        m, nowhere = self._m, self.nowhere
+        groups = slot_groups[slots, queries]
+        members = self.members[groups]
+        locations = self.member_locations(genes, rows[queries], groups, members)
+        locations[members == vms[queries, None]] = nowhere
+        pairs = queries.size
+        marked = np.zeros((pairs, nowhere + 1), dtype=bool)
+        marked[np.arange(pairs)[:, None], locations] = True
+        # A server group marks servers, a datacenter group datacenters.
+        allowed = marked[:, :m] | marked[:, self._dc_locations]
+        keep_unmarked = self._separates[groups]
+        keep_unmarked |= locations.min(axis=1) == nowhere
+        allowed ^= keep_unmarked[:, None]
+        masks = np.ones((vms.size, m), dtype=bool)
+        if slots[-1] == 0:
+            masks[queries] = allowed
+            return masks
+        # Pairs come slot by slot; within a slot each query is once.
+        start = 0
+        for slot, count in enumerate(np.bincount(slots).tolist()):
+            part = slice(start, start + count)
+            if slot == 0:
+                masks[queries[part]] = allowed[part]
             else:
-                datacenters = {dc_of[s] for s in placed}
-                if code == SAME_DATACENTER:
-                    if len(datacenters) == 1:
-                        mask &= self._in_dc[datacenters.pop()]
-                    else:
-                        mask &= self._in_dc[list(datacenters)].any(axis=0)
-                else:  # DIFFERENT_DATACENTERS
-                    for dc in datacenters:
-                        mask &= self._outside_dc[dc]
+                masks[queries[part]] &= allowed[part]
+            start += count
+        return masks
 
     # ------------------------------------------------------------------
     def find(
@@ -243,83 +316,92 @@ class NeighborFinder:
         """
         if residual is None:
             residual = self.limit - usage
-        return self.find_rows(
-            residual.T[None], [assignment], [vm], [tabu], order, [rng]
+        genes = _with_pad(assignment)
+        excluded = [] if tabu is None else list(tabu.forbidden_servers(vm))
+        if genes[0, vm] >= 0:
+            excluded.append(int(genes[0, vm]))
+        vms = np.array([vm])
+        pick = self.find_rows(
+            residual.T[None],
+            _ROW0,
+            vms,
+            (np.zeros(len(excluded), dtype=np.int64), np.array(excluded, dtype=np.int64)),
+            self.affinity_masks(genes, _ROW0, vms),
+            order,
+            [rng],
         )[0]
+        return None if pick < 0 else int(pick)
 
     def find_rows(
         self,
         residual: FloatArray,
-        assignments: list,
-        vms: list[int],
-        tabus: list[TabuList | None],
+        rows: IntArray,
+        vms: IntArray,
+        excluded: tuple[IntArray, IntArray],
+        affinity: BoolArray | None,
         order: str,
         rngs: list[np.random.Generator | None],
-    ) -> list[int | None]:
+    ) -> IntArray:
         """The Fig. 6 scan for a batch of independent queries at once.
 
-        Query ``k`` asks for a server for VM ``vms[k]`` in the walk whose
-        attribute-major residual ``limit - usage`` is ``residual[k]``
-        (shape (q, h, m) overall), whose genes are ``assignments[k]``
-        (an int array or a list of server ids) and whose tabu memory,
-        if any, is ``tabus[k]``.
+        Query ``k`` asks for a server for VM ``vms[k]`` in walk
+        ``rows[k]``, whose attribute-major residual ``limit - usage`` is
+        ``residual[k]`` (shape (q, h, m) overall).  ``excluded`` lists
+        the ``(query, server)`` pairs no query may take, as two index
+        arrays: the VM's current host and its tabu servers.
+        ``affinity`` is the queries' :meth:`affinity_masks` (None: no VM
+        is in a group).
 
         order:
             ``"first"`` — lowest server id (the paper's literal loop);
             ``"best_fit"`` — the valid server with the least residual
             headroom after the move (tighter packing);
             ``"random"`` — a uniformly random valid server, drawn from
-            ``rngs[k]`` (a fresh generator when that is None).
+            walk ``rows[k]``'s ``rngs[rows[k]]`` (a fresh generator when
+            that is None).
 
         Returns
         -------
-        One server id per query, None where no valid allocation exists
+        One server id per query, -1 where no valid allocation exists
         (``findNeighbor`` falls through its loop).
         """
         if order not in _ORDERS:
             raise ValidationError(
                 f"order must be 'first', 'best_fit' or 'random', got {order!r}"
             )
-        m = self._m
         # Attribute-major: the capacity test reduces over the leading
         # axis of each (h, m) slice, as h whole-row ANDs.  The VM's
-        # current host is excluded below, so its own demand need not be
+        # current host is excluded, so its own demand need not be
         # credited back as :meth:`capacity_mask` does.
         fits = residual >= self._need[vms]
         valid = fits[:, 0].copy()
         for attr in range(1, fits.shape[1]):
             valid &= fits[:, attr]
-        excluded: list[int] = []
-        for k, vm in enumerate(vms):
-            assignment = assignments[k]
-            if self._groups_of_vm[vm]:
-                self.restrict_to_groups(valid[k], assignment, vm)
-            current = int(assignment[vm])
-            if current >= 0:
-                excluded.append(k * m + current)
-            if tabus[k] is not None:
-                # A server -1 (left by an unplaced VM) is the last one.
-                for server in tabus[k].forbidden_servers(vm):
-                    excluded.append(k * m + server % m)
-        valid.put(excluded, False)
+        if affinity is not None:
+            valid &= affinity
+        valid[excluded] = False
         if order == "first":
-            picks = valid.argmax(axis=1).tolist()
+            picks = valid.argmax(axis=1)
         elif order == "best_fit":
             demand = self.request.demand[vms][:, :, None]
             slack = attribute_sum(residual - demand)
-            picks = np.where(valid, slack, np.inf).argmin(axis=1).tolist()
+            picks = np.where(valid, slack, np.inf).argmin(axis=1)
         else:
-            picks = []
-            for k in range(len(vms)):
+            picks = np.zeros(vms.size, dtype=np.int64)
+            for k, row in enumerate(rows.tolist()):
                 candidates = valid[k].nonzero()[0]
-                if candidates.size == 0:
-                    picks.append(0)  # not valid: answered None below
-                    continue
-                gen = rngs[k] if rngs[k] is not None else np.random.default_rng()
-                picks.append(int(gen.choice(candidates)))
-        return [
-            pick if valid.item(k, pick) else None for k, pick in enumerate(picks)
-        ]
+                if candidates.size:  # else not valid: answered -1 below
+                    gen = rngs[row] if rngs[row] is not None else np.random.default_rng()
+                    picks[k] = gen.choice(candidates)
+        return np.where(valid[np.arange(vms.size), picks], picks, -1)
+
+
+def _with_pad(assignment) -> IntArray:
+    """One genome as a (1, n + 1) gene matrix with the UNPLACED column."""
+    return np.append(np.asarray(assignment, dtype=np.int64), UNPLACED)[None]
+
+
+_ROW0 = np.zeros(1, dtype=np.int64)
 
 
 def attribute_sum(values: FloatArray) -> FloatArray:

@@ -15,11 +15,12 @@ returned is the one minimizing (violations, usage-cost) lexicographic
 distance to the ideal: zero violations first, cheapest placement among
 equals.
 
-Each genome's walk runs on a :class:`RepairState` that is updated per
-move rather than recounted; every comparison it feeds sees the floats a
-from-scratch recount would.  A batch's walks share one attribute-major
-:class:`RepairBatch` and advance in lockstep: each step answers every
-walk that wants a target with one tensor pass.
+A batch's walks share one :class:`RepairBatch`, whose tables (genes,
+attribute-major usage, group counts, tabu memory) are updated per move
+rather than recounted; every comparison they feed sees the floats a
+from-scratch recount would.  The walks advance in lockstep, their
+control (scan lists, cursors, rounds) held in arrays: each step answers
+every walk that wants a target with one tensor pass.
 """
 
 from __future__ import annotations
@@ -29,12 +30,13 @@ import time
 import numpy as np
 
 from repro.constraints.registry import ConstraintSet
-from repro.constraints.rules import group_violations
+from repro.engine import kernels
 from repro.engine.parallel import RepairParams
 from repro.errors import ValidationError
 from repro.model.infrastructure import Infrastructure
+from repro.model.placement import UNPLACED
 from repro.model.request import Request
-from repro.tabu.neighborhood import NeighborFinder, TabuList, attribute_sum
+from repro.tabu.neighborhood import NeighborFinder, TabuMemory, attribute_sum
 from repro.telemetry import (
     HistogramSummary,
     MetricsSnapshot,
@@ -42,189 +44,288 @@ from repro.telemetry import (
     get_bus,
     get_registry,
 )
-from repro.types import FloatArray, IntArray
+from repro.types import BoolArray, FloatArray, IntArray
 from repro.utils.rng import as_generator, derive_sequence, root_sequence
 
-__all__ = ["RepairBatch", "RepairState", "TabuRepair"]
+__all__ = ["RepairBatch", "TabuRepair"]
 
 #: Cells of usage per walked chunk, (rows * m * h): ~64 MB of float64.
 _TILE_CELLS = 8_000_000
-#: Moves per step from which :meth:`RepairBatch.move` updates all walks
-#: with one tensor op instead of walk by walk.
-_WIDE_STEP = 8
+#: Scan entries tested per walk at once.  A walk checks the deadline
+#: every ``_WINDOW`` scans, so a window never spans a check.
+_WINDOW = 32
+_SPAN = np.arange(_WINDOW)
 
 
 class RepairBatch:
     """The shared state of a batch of repair walks, kept current per step.
 
-    Attribute-major tensors over the batch's rows: ``usage`` (rows, h,
-    m), its ``residual`` ``limit - usage`` and ``over``, each server's
-    count of attributes over threshold (rows, m).  Row ``r`` belongs to
-    ``states[r]``, whose arrays are views into these.  :meth:`move`
-    re-hosts one VM in each of any subset of rows with the float
-    operations a one-genome walk performs, so every reader sees the
-    bits a from-scratch recount would.
+    Row ``r`` of every table belongs to walk ``r``: the gene matrix
+    ``genes`` (rows, n); the attribute-major ``usage`` (rows, h, m), its
+    ``residual`` ``limit - usage`` and ``over``, each server's count of
+    attributes over threshold (rows, m); ``group_viol``, each group's
+    violation count (rows, G); and the walks' :class:`TabuMemory`.
+    :meth:`move` re-hosts one VM in each of any subset of rows as one
+    tensor op, with the float operations a one-genome walk performs, so
+    every reader sees the bits a from-scratch recount would.
+
+    Behind the public views, ``genes`` has a trailing UNPLACED column
+    (VM ``n``, which pads the group and scan tables), ``over`` a
+    trailing 0 (read by UNPLACED genes) and ``group_viol`` a trailing 0
+    (the dummy group G).
     """
 
     def __init__(self, repair: TabuRepair, genomes: IntArray) -> None:
         self._repair = repair
-        rows = genomes.shape[0]
+        rows, n = genomes.shape
+        h, m = repair._limit_t.shape
+        groups = repair.finder.n_groups
+        self._genes = np.full((rows, n + 1), UNPLACED, dtype=np.int64)
+        self._genes[:, :n] = genomes
+        self.genes = self._genes[:, :n]
         tile = repair._usage_tile(genomes, np.arange(rows))
         self.usage = np.ascontiguousarray(tile.transpose(0, 2, 1))
         del tile
         self.residual = repair._limit_t - self.usage
-        self.over = np.count_nonzero(self.usage > repair._threshold_t, axis=1)
-        h, m = repair._limit_t.shape
-        self._m = m
-        self._row_cells = h * m
-        self._attr_cells = np.arange(h) * m
+        self._over = np.zeros((rows, m + 1), dtype=np.int64)
+        self.over = self._over[:, :m]
+        self.over[...] = (self.usage > repair._threshold_t).sum(axis=1)
+        self._group_viol = np.zeros((rows, groups + 1), dtype=np.int64)
+        self.group_viol = self._group_viol[:, :groups]
+        self.tabu = TabuMemory(rows, repair.tenure, m)
+        # Flat views, and each walk's first cell in them.
+        self._gene_cells = self._genes.reshape(-1)
         self._usage_cells = self.usage.reshape(-1)
         self._residual_cells = self.residual.reshape(-1)
-        self._over_cells = self.over.reshape(-1)
-        self.states = [RepairState(self, row, genomes[row]) for row in range(rows)]
+        self._over_cells = self._over.reshape(-1)
+        self._viol_cells = self._group_viol.reshape(-1)
+        walks = np.arange(rows)
+        self._gene_first = walks * (n + 1)
+        self._usage_first = walks * (h * m)
+        self._over_first = walks * (m + 1)
+        self._viol_first = walks * (groups + 1)
+        self._attr_cells = np.arange(h) * m
+        self._vms = np.arange(n)
+        if groups:
+            self._recount(*np.divmod(np.arange(rows * groups), groups))
 
-    def move(self, rows: list[int], vms: list[int], targets: list[int]) -> list[int]:
-        """Re-host ``vms[k]`` on ``targets[k]`` in walk ``rows[k]``, for
-        every k at once; returns the servers the VMs left.
-
-        A step of fewer than ``_WIDE_STEP`` moves goes walk by walk
-        (:meth:`RepairState.move`): one tensor op's fixed cost, the
-        index arrays and fancy gathers, is that of several scalar
-        updates.  Both write the same bits.
-        """
-        if len(rows) < _WIDE_STEP:
-            return [self.states[row].move(vm, t) for row, vm, t in zip(rows, vms, targets)]
-        repair = self._repair
-        m, row_cells = self._m, self._row_cells
-        states = [self.states[row] for row in rows]
-        olds = [state.genes[vm] for state, vm in zip(states, vms)]
-        # Each left server, then each target.  A server -1 (left by an
-        # unplaced VM) is the last server, as the one-genome walk
-        # indexes it.
-        servers = [old % m for old in olds] + targets
-        walks = rows + rows
-        cells = (
-            np.array([row * row_cells + s for row, s in zip(walks, servers)])[:, None]
-            + self._attr_cells
+    def _recount(self, rows: IntArray, groups: IntArray) -> None:
+        """Rescore group ``groups[k]`` of walk ``rows[k]``, for every k."""
+        finder = self._repair.finder
+        locations = finder.member_locations(
+            self._genes, rows, groups, finder.members[groups]
         )
-        signed = np.array(vms + [vm + repair.request.n for vm in vms])
-        # usage[old] -= demand, then usage[target] += demand: ``add.at``
-        # applies the cells in order, so a target that is also the left
-        # server sees the first update (u - d == u + -d bit for bit).
-        usage = self._usage_cells
-        np.add.at(usage, cells, repair._signed_demand.take(signed, axis=0))
-        after = usage[cells]
-        attr_cells = cells % row_cells
-        self._residual_cells[cells] = repair._limit_t.reshape(-1)[attr_cells] - after
-        exceeds = after > repair._threshold_t.reshape(-1)[attr_cells]
-        self._over_cells[np.array([row * m + s for row, s in zip(walks, servers)])] = (
-            exceeds.sum(axis=1)
-        )
-        for state, vm, old, target in zip(states, vms, olds, targets):
-            state._rehost(vm, old, target)
-        return olds
-
-
-class RepairState:
-    """One genome's repair walk: row ``row`` of a :class:`RepairBatch`.
-
-    Holds the assignment (an int array for the cost sum and the
-    returned plan, a list for scalar reads), views of the batch's
-    attribute-major ``usage`` and ``residual`` (h, m) and ``over`` (m,),
-    each group's violation count and the walk's tabu memory.
-    """
-
-    def __init__(self, batch: RepairBatch, row: int, assignment: IntArray) -> None:
-        repair = batch._repair
-        self._repair = repair
-        # The batch's flat tensors, not the batch: a state that held
-        # its batch would be a reference cycle, kept alive until the
-        # cyclic collector runs.
-        self._usage_cells = batch._usage_cells
-        self._residual_cells = batch._residual_cells
-        self._first_cell = row * batch._row_cells
-        self.row = row
-        self.assignment = assignment.copy()
-        self.genes: list[int] = self.assignment.tolist()
-        self.usage = batch.usage[row]
-        self.residual = batch.residual[row]
-        self.over = batch.over[row]
-        self.group_viol: list[int] = [
-            self._count_group(gi) for gi in range(len(repair.finder._members))
-        ]
-        self.tabu = TabuList(tenure=repair.tenure)
-
-    def _count_group(self, gi: int) -> int:
-        finder, genes = self._repair.finder, self.genes
-        return group_violations(
-            finder._rule_codes[gi],
-            [genes[k] for k in finder._members[gi]],
-            finder._dc_of,
+        self._viol_cells[self._viol_first[rows] + groups] = kernels.group_row_violations(
+            locations, finder.nowhere, finder.layout.counts_distinct[groups]
         )
 
     # -- readers ---------------------------------------------------------
-    def faulty_vms(self) -> IntArray:
-        """VMs that must move: hosted on an overloaded server, or member
-        of a violated affinity/anti-affinity group (Fig. 5, line 2)."""
-        # One flag per server, plus a trailing False that UNPLACED (-1)
-        # genes index.
-        overloaded = np.zeros(len(self.over) + 1, dtype=bool)
-        overloaded[:-1] = self.over
-        faulty = overloaded[self.assignment]
-        members = self._repair.finder._members
-        for gi, violations in enumerate(self.group_viol):
-            if violations:
-                faulty[members[gi]] = True
-        return np.flatnonzero(faulty)
+    def faulty(self, rows: IntArray, vms: IntArray) -> BoolArray:
+        """Whether VM ``vms[..., k]`` of walk ``rows[...]`` must move: it
+        sits on an overloaded server or in a violated affinity/anti-
+        affinity group (Fig. 5, line 2).  ``rows`` and ``vms``
+        broadcast."""
+        servers = self._gene_cells.take(self._gene_first[rows] + vms)
+        count = self._over_cells.take(self._over_first[rows] + servers)
+        first = self._viol_first[rows]
+        for slot_groups in self._repair.finder.vm_groups:
+            count += self._viol_cells.take(first + slot_groups.take(vms))
+        return count > 0
 
-    def still_faulty(self, vm: int) -> bool:
-        """Whether ``vm`` still sits on an overloaded server or in a
-        violated group."""
-        if self.over[self.genes[vm]]:
-            return True
-        group_viol = self.group_viol
-        return any(group_viol[gi] for gi in self._repair.finder._groups_of_vm[vm])
+    def excluded(self, rows: IntArray, vms: IntArray) -> tuple[IntArray, IntArray]:
+        """The targets query ``k`` (VM ``vms[k]`` of walk ``rows[k]``) may
+        not take, as ``(query, server)`` index arrays: the VM's current
+        host and its tabu servers."""
+        current = self._gene_cells.take(self._gene_first[rows] + vms)
+        placed = (current >= 0).nonzero()[0]
+        queries, servers = self.tabu.forbidden(rows, vms)
+        return np.concatenate((placed, queries)), np.concatenate((current[placed], servers))
 
-    def score(self) -> tuple[int, float]:
-        """(violations, usage cost) — the lexicographic ideal-point key."""
-        assignment = self.assignment
-        cost = float(self._repair._cost_rate[assignment[assignment >= 0]].sum())
-        return int(self.over.sum()) + sum(self.group_viol), cost
+    def violations(self, rows: IntArray) -> IntArray:
+        """Each walk's violation count: servers over threshold, per
+        attribute, plus its groups' violations."""
+        return self.over[rows].sum(axis=1) + self.group_viol[rows].sum(axis=1)
+
+    def cost(self, row: int) -> float:
+        """Walk ``row``'s usage cost, the ideal-point tie-break."""
+        genes = self.genes[row]
+        return float(self._repair._cost_rate[genes[genes >= 0]].sum())
 
     # -- update ----------------------------------------------------------
-    def move(self, vm: int, target: int) -> int:
-        """Re-host ``vm`` on ``target``; returns the server it left."""
-        repair = self._repair
-        old = self.genes[vm]
-        usage, residual = self._usage_cells, self._residual_cells
-        limit, threshold = repair._limit_cells, repair._threshold_cells
-        first = self._first_cell
-        m = len(self.over)
-        # usage[old] -= demand, then usage[target] += demand, each
-        # server's h cells in Python floats (IEEE doubles, as numpy's;
-        # u - d == u + -d).  A server -1 (left by an unplaced VM) is the
-        # last server, as the one-genome walk indexes it.
-        for server, delta in (
-            (old % m, repair._demand_rows[vm][0]),
-            (target, repair._demand_rows[vm][1]),
-        ):
-            over = 0
-            for cell, d in zip(range(server, len(limit), m), delta):
-                value = usage.item(first + cell) + d
-                usage[first + cell] = value
-                residual[first + cell] = limit[cell] - value
-                over += value > threshold[cell]
-            self.over[server] = over
-        self._rehost(vm, old, target)
-        return old
+    def move(self, rows: IntArray, vms: IntArray, targets: IntArray) -> IntArray:
+        """Re-host ``vms[k]`` on ``targets[k]`` in walk ``rows[k]``, for
+        every k at once (one move per walk); returns the servers the VMs
+        left.
 
-    def _rehost(self, vm: int, old: int, target: int) -> None:
-        """The scalar bookkeeping of a move: genes, groups, tabu."""
-        self.assignment[vm] = target
-        self.genes[vm] = target
-        for gi in self._repair.finder._groups_of_vm[vm]:
-            self.group_viol[gi] = self._count_group(gi)
-        self.tabu.add(vm, old)
+        A VM leaving UNPLACED frees no server and leaves no tabu pair.
+        """
+        repair = self._repair
+        gene_cells = self._gene_first[rows] + vms
+        olds = self._gene_cells.take(gene_cells)
+        rows_left, vms_left, olds_left = rows, vms, olds
+        if np.count_nonzero(olds < 0):
+            left = olds >= 0
+            rows_left, vms_left, olds_left = rows[left], vms[left], olds[left]
+        # Each left server, then each target.  A walk's two servers
+        # differ (the target is never the current host), so every cell
+        # is updated once: usage[old] - demand, usage[target] + demand,
+        # as u + -d, the bits of u - d.
+        walks = np.concatenate((rows_left, rows))
+        servers = np.concatenate((olds_left, targets))
+        attr_cells = servers[:, None] + self._attr_cells
+        cells = self._usage_first[walks][:, None] + attr_cells
+        signed = np.concatenate((vms_left, vms + repair.request.n))
+        after = self._usage_cells[cells] + repair._signed_demand[signed]
+        self._usage_cells[cells] = after
+        self._residual_cells[cells] = repair._limit_cells[attr_cells] - after
+        self._over_cells[self._over_first[walks] + servers] = (
+            after > repair._threshold_cells[attr_cells]
+        ).sum(axis=1)
+        self._gene_cells[gene_cells] = targets
+        self.tabu.add(rows_left, vms_left, olds_left)
+        finder = repair.finder
+        slot_groups = finder.vm_groups[:, vms]
+        slots, moved = (slot_groups < finder.n_groups).nonzero()
+        if moved.size:
+            self._recount(rows[moved], slot_groups[slots, moved])
+        return olds
+
+
+class _Walks:
+    """The control state of a batch's repair walks (Fig. 5), in arrays.
+
+    In its current round, walk ``r`` scans its shuffled fault list, row
+    ``r`` of a scan matrix, up to flat cell ``end[r]``; ``next[r]`` is
+    the flat cell of its next entry.  ``moves``, the rounds, the stall count
+    and the best state found so far complete the walk.  Round ends
+    (ideal-point cost) and the shuffles of round starts run walk by
+    walk; :meth:`next_candidates` advances every walk at once.
+    """
+
+    def __init__(self, repair: TabuRepair, batch: RepairBatch, rngs: list) -> None:
+        rows, n = batch.genes.shape
+        self._repair = repair
+        self._batch = batch
+        self._rngs = rngs
+        # Past the end of a list the scan holds VM n, never faulty.
+        self._pad = n
+        scan = np.full((rows, n + _WINDOW), n, dtype=np.int64)
+        self._scan_cells = scan.reshape(-1)
+        self._first = np.arange(rows) * scan.shape[1]
+        self.next = self._first.copy()
+        self.end = self._first.copy()
+        self._hit_cells = np.arange(rows) * _WINDOW
+        self.moves = np.zeros(rows, dtype=np.int64)
+        self._round_moves = np.zeros(rows, dtype=np.int64)
+        self._rounds = [0] * rows
+        self._stall = [0] * rows
+        self.best: list = [None] * rows
+        self.best_score = [
+            (violations, batch.cost(row))
+            for row, violations in enumerate(batch.violations(np.arange(rows)).tolist())
+        ]
+
+    def start_rounds(self, rows: list[int]) -> list[int]:
+        """Begin each walk's next round; returns the walks that go on."""
+        repair, batch = self._repair, self._batch
+        rows = [row for row in rows if self._rounds[row] < repair.max_rounds]
+        if not rows or repair._deadline_passed():
+            return []
+        started, ends = [], []
+        for row, flags in zip(rows, batch.faulty(np.array(rows)[:, None], batch._vms)):
+            vms = flags.nonzero()[0]
+            if vms.size == 0:
+                continue
+            # Shuffle, then visit ungrouped VMs first: moving them never
+            # perturbs an affinity rule, so capacity pressure drains off
+            # overloaded servers without collateral group damage.
+            self._rngs[row].shuffle(vms)
+            vms = vms[np.argsort(repair._grouped[vms], kind="stable")]
+            first = int(self._first[row])
+            end = first + vms.size
+            self._scan_cells[first:end] = vms
+            self._scan_cells[end : end + _WINDOW] = self._pad
+            self._rounds[row] += 1
+            started.append(row)
+            ends.append(end)
+        self.next[started] = self._first[started]
+        self.end[started] = ends
+        self._round_moves[started] = self.moves[started]
+        return started
+
+    def end_rounds(self, rows: list[int]) -> list[int]:
+        """Score each walk's finished round and start its next one;
+        returns the walks that go on."""
+        batch, go_on = self._batch, []
+        violations = batch.violations(rows).tolist()
+        moved = (self.moves[rows] > self._round_moves[rows]).tolist()
+        for row, row_violations, moved_any in zip(rows, violations, moved):
+            score = (row_violations, batch.cost(row))
+            if score < self.best_score[row]:
+                self.best_score[row] = score
+                self.best[row] = batch.genes[row].copy()
+                self._stall[row] = 0
+            else:
+                self._stall[row] += 1
+            # Done once feasible; stuck after a round without a move or
+            # three without progress.
+            if self.best_score[row][0] and moved_any and self._stall[row] < 3:
+                go_on.append(row)
+        return self.start_rounds(go_on)
+
+    def next_candidates(self, rows: IntArray) -> tuple[IntArray, IntArray]:
+        """Advance each walk of ``rows`` past its next VM that is still
+        faulty, ending (and maybe restarting) rounds on the way.
+        Returns the walks that found one, ascending, and their VMs.
+
+        Earlier moves in a round may already have fixed a listed VM's
+        server or group; moving it too would overshoot, so it is
+        skipped.  Each pass tests a window of every walk's next
+        ``_WINDOW`` entries at once.  Under a deadline a window stops at
+        the walk's next check: the round can be long on big instances,
+        so the budget is re-checked every ``_WINDOW`` scans.
+        """
+        repair, batch = self._repair, self._batch
+        deadline = repair.deadline is not None
+        found_rows, found_vms = [], []
+        while rows.size:
+            cells = self.next[rows]
+            ended = cells >= self.end[rows]
+            if deadline:
+                # Scans left before the next check; at a check, a full
+                # window.
+                span = (_WINDOW - 2 - (cells - self._first[rows])) % _WINDOW + 1
+                check = (span == _WINDOW) & ~ended
+                if check.any() and repair._deadline_passed():
+                    ended |= check
+            if np.count_nonzero(ended):
+                go_on = np.array(self.end_rounds(rows[ended].tolist()), dtype=np.int64)
+                rows = np.sort(np.concatenate((rows[~ended], go_on)))
+                if rows.size == 0:
+                    break
+                cells = self.next[rows]
+                if deadline:
+                    span = (_WINDOW - 2 - (cells - self._first[rows])) % _WINDOW + 1
+            window = cells[:, None] + _SPAN
+            hit = batch.faulty(rows[:, None], self._scan_cells.take(window))
+            if deadline:
+                hit &= _SPAN < span[:, None]
+            first = hit.argmax(axis=1)
+            got = hit.reshape(-1).take(self._hit_cells[: rows.size] + first)
+            # A walk without a hit has first == 0: it moves a window on.
+            cells += first
+            found_rows.append(rows[got])
+            found_vms.append(self._scan_cells.take(cells[got]))
+            self.next[rows] = np.where(got, cells + 1, cells + (span if deadline else _WINDOW))
+            rows = rows[~got]
+        if len(found_rows) < 2:
+            return (found_rows[0], found_vms[0]) if found_rows else (_NONE, _NONE)
+        rows, vms = np.concatenate(found_rows), np.concatenate(found_vms)
+        order = np.argsort(rows)
+        return rows[order], vms[order]
+
+
+_NONE = np.zeros(0, dtype=np.int64)
 
 
 class TabuRepair:
@@ -313,17 +414,10 @@ class TabuRepair:
         )
         # Row vm subtracts a VM's demand, row n + vm adds it.
         self._signed_demand = np.concatenate((-request.demand, request.demand))
-        # The same as Python floats, for one walk's moves: per VM, the
-        # (negated, plain) demand; per (attribute, server) cell, the
-        # limit and threshold.
-        self._demand_rows = list(
-            zip((-request.demand).tolist(), request.demand.tolist())
-        )
-        self._limit_cells = self._limit_t.ravel().tolist()
-        self._threshold_cells = self._threshold_t.ravel().tolist()
-        self._grouped = np.zeros(request.n, dtype=bool)
-        for group in request.groups:
-            self._grouped[list(group.members)] = True
+        # Per (attribute, server) cell, flat: the limit and threshold.
+        self._limit_cells = self._limit_t.reshape(-1)
+        self._threshold_cells = self._threshold_t.reshape(-1)
+        self._grouped = self.finder.vm_groups[0, : request.n] < self.finder.n_groups
         self.repaired_individuals = 0
         self.moves_performed = 0
         #: Optional wall-clock cutoff (``time.perf_counter`` stamp) set
@@ -367,16 +461,28 @@ class TabuRepair:
 
     # ------------------------------------------------------------------
     def _least_overflow_rows(
-        self, batch: RepairBatch, rows: list[int], vms: list[int]
-    ) -> list[int | None]:
-        """Worsening-tolerant tabu move for each ``(rows[k], vms[k])``
-        whose walk found no strictly valid server: relocate to the
-        server that adds the least capacity overflow, preferring
-        affinity-consistent targets.  This is what lets the walk escape
-        local optima instead of stalling, at the price of temporarily
-        shifted violations (bounded by the walk's best-state tracking).
-        None where every server is the current host or tabu."""
-        m = self.finder.limit.shape[0]
+        self,
+        batch: RepairBatch,
+        rows: IntArray,
+        vms: IntArray,
+        stuck: IntArray,
+        excluded: tuple[IntArray, IntArray],
+        affinity: BoolArray | None,
+    ) -> IntArray:
+        """Worsening-tolerant tabu move for each stuck query ``k`` of a
+        step (``(rows[k], vms[k])`` for ``k`` in ``stuck``, whose walk
+        found no strictly valid server): relocate to the server that adds
+        the least capacity overflow, preferring affinity-consistent
+        targets.  ``excluded`` and ``affinity`` are the step's
+        (:meth:`RepairBatch.excluded`, ``affinity_masks``).  This is
+        what lets the walk escape local optima instead of stalling, at
+        the price of temporarily shifted violations (bounded by the
+        walk's best-state tracking).  -1 where every server is the
+        current host or tabu."""
+        # Each query's row among the stuck ones, -1 if not stuck.
+        position = np.full(rows.size, -1)
+        position[stuck] = np.arange(stuck.size)
+        rows, vms = rows[stuck], vms[stuck]
         limit = self._limit_t
         # Overflow each prospective target would add, per walk.
         after = batch.usage[rows]
@@ -387,165 +493,99 @@ class TabuRepair:
         np.maximum(0.0, after, out=after)
         after -= before
         added = attribute_sum(after)
-        # The current host (server -1, for an unplaced VM, is the last
-        # one) and the tabu servers are no candidates.
-        states = [batch.states[row] for row in rows]
-        excluded: list[int] = []
-        for k, (state, vm) in enumerate(zip(states, vms)):
-            excluded.append(k * m + state.genes[vm] % m)
-            for server in state.tabu.forbidden_servers(vm):
-                excluded.append(k * m + server % m)
-        added.put(excluded, np.inf)
-        picks = added.argmin(axis=1).tolist()
-        groups_of_vm = self.finder._groups_of_vm
-        targets: list[int | None] = []
-        for k, (state, vm) in enumerate(zip(states, vms)):
-            pick = picks[k]
-            if groups_of_vm[vm]:
-                affine = np.where(
-                    self.finder.affinity_mask(state.genes, vm), added[k], np.inf
-                )
-                best = int(affine.argmin())
-                if affine[best] < np.inf:
-                    pick = best
-            targets.append(pick if added.item(k, pick) < np.inf else None)
-        return targets
-
-    # ------------------------------------------------------------------
-    def _walk(self, state: RepairState, rng):
-        """One genome's repair rounds (Fig. 5), as a generator.
-
-        Yields each VM that needs a target; :meth:`_lockstep` answers
-        whether it moved the VM.  Returns ``(best assignment, best
-        score, moves)``, the assignment None while the input is still
-        best.
-        """
-        best = None
-        best_score = state.score()
-        moves = 0
-        stall_rounds = 0
-        for _ in range(self.max_rounds):
-            if self._deadline_passed():
-                break
-            faulty = state.faulty_vms()
-            if faulty.size == 0:
-                break
-            # Shuffle, then visit ungrouped VMs first: moving them never
-            # perturbs an affinity rule, so capacity pressure drains off
-            # overloaded servers without collateral group damage.
-            rng.shuffle(faulty)
-            faulty = faulty[np.argsort(self._grouped[faulty], kind="stable")]
-            moved_any = False
-            for scanned, vm in enumerate(faulty.tolist()):
-                # The round itself can be long on big instances; re-check
-                # the budget every few dozen candidate moves.
-                if scanned % 32 == 31 and self._deadline_passed():
-                    break
-                # Earlier moves in this round may already have fixed the
-                # VM's server or group; moving it too would overshoot.
-                if not state.still_faulty(vm):
-                    continue
-                if (yield vm):
-                    moves += 1
-                    moved_any = True
-            score = state.score()
-            if score < best_score:
-                best_score = score
-                best = state.assignment.copy()
-                stall_rounds = 0
-            else:
-                stall_rounds += 1
-            if best_score[0] == 0:
-                break
-            if not moved_any or stall_rounds >= 3:
-                break  # stuck (no move, or three rounds without progress)
-        return best, best_score, moves
+        # The current host and the tabu servers are no candidates.
+        queries = position[excluded[0]]
+        kept = queries >= 0
+        added[queries[kept], excluded[1][kept]] = np.inf
+        picks = added.argmin(axis=1)
+        each = np.arange(stuck.size)
+        if affinity is not None:
+            # Affinity-consistent servers first, when one is a candidate
+            # (all are, for a VM in no group).
+            affine = np.where(affinity[stuck], added, np.inf)
+            best = affine.argmin(axis=1)
+            consistent = affine[each, best] < np.inf
+            picks[consistent] = best[consistent]
+        return np.where(added[each, picks] < np.inf, picks, -1)
 
     def _lockstep(self, genomes: IntArray, rngs: list) -> None:
         """Repair every row of ``genomes`` in place (row ``r`` drawing
-        from ``rngs[r]``), all walks in lockstep.
+        from ``rngs[r]``), all walks in lockstep (Fig. 5).
 
-        Each step answers every pending walk at once: one capacity test,
-        pick and (for walks with no valid server) least-overflow
-        fallback over the batch's attribute-major tensors, then one
-        tensor update for all the moves.  The walks are independent, so
-        each one's result equals walking it alone.
+        Each step answers every walk that wants a target at once: one
+        capacity test, affinity mask, tabu exclusion, pick and (for
+        walks with no valid server) least-overflow fallback over the
+        batch's tensors, then one tensor update for all the moves and
+        one window scan for every walk's next VM.  The walks are
+        independent, so each one's result equals walking it alone.
+
+        A walk ends after ``max_rounds`` rounds, once it is feasible,
+        after a round without a move or three without progress, or at
+        its next deadline check.  It returns the state closest to the
+        ideal point: fewest violations, then cheapest.
         """
         if self._deadline_passed():
             return  # pass-through: no round could start
+        finder = self.finder
         batch = RepairBatch(self, genomes)
-        states = batch.states
-        walks = [self._walk(state, rng) for state, rng in zip(states, rngs)]
-        outcomes: list = [None] * len(walks)
-        active: list[int] = []
-        pending: list[int] = []
-
-        def resume(row: int, answer) -> None:
-            try:
-                vm = walks[row].send(answer)
-            except StopIteration as done:
-                outcomes[row] = done.value
-            else:
-                active.append(row)
-                pending.append(vm)
-
-        for row in range(len(walks)):
-            resume(row, None)
+        walks = _Walks(self, batch, rngs)
+        rows = len(rngs)
+        active, pending = walks.next_candidates(
+            np.array(walks.start_rounds(list(range(rows))), dtype=np.int64)
+        )
         # Walks only ever drop out, so the first step is the widest.
-        widest = width = len(active)
+        widest = width = active.size
         steps = answered = 0
-        while active:
-            width = len(active)
-            targets = self.finder.find_rows(
+        while active.size:
+            width = active.size
+            excluded = batch.excluded(active, pending)
+            affinity = finder.affinity_masks(batch._genes, active, pending)
+            targets = finder.find_rows(
                 # Every walk pending: the tensor itself, no gather.
-                batch.residual if width == len(walks) else batch.residual[active],
-                [states[row].genes for row in active],
+                batch.residual if width == rows else batch.residual[active],
+                active,
                 pending,
-                [states[row].tabu for row in active],
+                excluded,
+                affinity,
                 self.order,
-                [rngs[row] for row in active],
+                rngs,
             )
-            if None in targets and self.allow_worsening_moves:
-                stuck = [k for k, target in enumerate(targets) if target is None]
-                rescued = self._least_overflow_rows(
-                    batch, [active[k] for k in stuck], [pending[k] for k in stuck]
+            stuck = (targets < 0).nonzero()[0]
+            if stuck.size and self.allow_worsening_moves:
+                targets[stuck] = self._least_overflow_rows(
+                    batch, active, pending, stuck, excluded, affinity
                 )
-                for k, target in zip(stuck, rescued):
-                    targets[k] = target
-            if None in targets:
-                moved = [k for k, target in enumerate(targets) if target is not None]
-                batch.move(
-                    [active[k] for k in moved],
-                    [pending[k] for k in moved],
-                    [targets[k] for k in moved],
-                )
-            else:
-                batch.move(active, pending, targets)
+                stuck = (targets < 0).nonzero()[0]
+            moved = active
+            if stuck.size:
+                kept = targets >= 0
+                moved, pending, targets = active[kept], pending[kept], targets[kept]
+            batch.move(moved, pending, targets)
+            walks.moves[moved] += 1
             steps += 1
             answered += width
-            stepped = active
-            active, pending = [], []
-            for row, target in zip(stepped, targets):
-                resume(row, target is not None)
+            active, pending = walks.next_candidates(active)
 
-        moves = 0
         bus = get_bus()
-        for row, (best, best_score, walk_moves) in enumerate(outcomes):
+        for row, best in enumerate(walks.best):
             if best is not None:
                 genomes[row] = best
-            moves += walk_moves
             if bus.enabled:
                 bus.emit(
                     RepairInvoked(
-                        repairer="tabu", moves=walk_moves, repaired=best_score[0] == 0
+                        repairer="tabu",
+                        moves=int(walks.moves[row]),
+                        repaired=walks.best_score[row][0] == 0,
                     )
                 )
-        self.repaired_individuals += len(walks)
+        moves = int(walks.moves.sum())
+        self.repaired_individuals += rows
         self.moves_performed += moves
         registry = get_registry()
-        registry.count("tabu.repair.individuals", len(walks), repairer="tabu")
+        registry.count("tabu.repair.individuals", rows, repairer="tabu")
         registry.count("tabu.repair.moves", moves, repairer="tabu")
         registry.count("tabu.repair.steps", steps)
+        registry.count("tabu.neighbor.queries", answered)
         if steps:
             registry.merge(
                 MetricsSnapshot(

@@ -117,6 +117,10 @@ def test_deadline_after_the_first_step_stops_every_walk():
     snapshot = registry.snapshot()
     assert 1 <= snapshot.counter_total("tabu.repair.steps") <= 31
     assert snapshot.histograms["tabu.repair.step_walks"].maximum == 20
+    # One neighbour query per walk per step, counted by the library.
+    assert snapshot.counter_total("tabu.neighbor.queries") == (
+        snapshot.histograms["tabu.repair.step_walks"].total
+    )
 
 
 def test_chunked_batch_equals_one_lockstep(monkeypatch):
