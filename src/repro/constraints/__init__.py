@@ -8,39 +8,30 @@ Every constraint implements two evaluation paths:
   population matrix of shape ``(pop, n)``, which is what the EA layer
   calls every generation.
 
-:class:`ConstraintSet` bundles the constraints implied by an
-(infrastructure, request) pair and exposes feasibility tests, total
-violation counts and per-constraint breakdowns — the quantities behind
-the paper's Figure 10.  :func:`group_violations` is the same group-rule
-count for one group at a time, for the move-by-move layers.
+:class:`GroupConstraint` is the one class behind every group rule:
+its members, its kind (co-location or separation) and a location map
+(server, datacenter or provider).  :class:`ConstraintSet` bundles the
+constraints implied by an (infrastructure, request) pair and exposes
+feasibility tests, total violation counts and per-constraint
+breakdowns — the quantities behind the paper's Figure 10.
+:func:`group_violations` is the scalar group-rule count, for the
+move-by-move layers.
 """
 
 from repro.constraints.base import Constraint
 from repro.constraints.capacity import CapacityConstraint
 from repro.constraints.assignment import AssignmentConstraint
-from repro.constraints.affinity import (
-    SameDatacenterConstraint,
-    SameServerConstraint,
-)
-from repro.constraints.anti_affinity import (
-    DifferentDatacentersConstraint,
-    DifferentServersConstraint,
-)
 from repro.constraints.load_cap import LoadCapConstraint
 from repro.constraints.registry import ConstraintSet, make_group_constraint
-from repro.constraints.rules import RULE_CODE, group_violations
+from repro.constraints.rules import GroupConstraint, group_violations
 
 __all__ = [
     "Constraint",
     "CapacityConstraint",
     "AssignmentConstraint",
-    "SameDatacenterConstraint",
-    "SameServerConstraint",
-    "DifferentDatacentersConstraint",
-    "DifferentServersConstraint",
+    "GroupConstraint",
     "LoadCapConstraint",
     "ConstraintSet",
     "make_group_constraint",
-    "RULE_CODE",
     "group_violations",
 ]

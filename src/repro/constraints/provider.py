@@ -1,15 +1,13 @@
 """Provider-scoped constraints for multi-cloud brokered placements.
 
-Three market-layer rules on top of the paper's four placement rules
+Two market-layer rules on top of the paper's four placement rules
 (which are provider-blind):
 
-* :class:`SameProviderConstraint` — QoS co-location: every placed
-  member of a group must land inside one provider's estate.  Chatty
-  tiers (the MORPHOSYS-style latency contract) cannot straddle a
-  cross-provider WAN link.
-* :class:`ProviderSpreadConstraint` — availability separation: no two
-  members of a group may share a provider, so a whole-provider outage
-  cannot take the group down.
+* QoS co-location: every placed member of a group must land inside one
+  provider's estate.  Chatty tiers (the MORPHOSYS-style latency
+  contract) cannot straddle a cross-provider WAN link.  It is a
+  :class:`~repro.constraints.rules.GroupConstraint` over the server ->
+  provider map, named ``same_provider``.
 * :class:`ProviderQuotaConstraint` — provider-scoped capacity: a cap on
   the resources (VM count) a brokered plan may consume per provider —
   the contractual commitment a broker holds with each provider,
@@ -18,76 +16,22 @@ Three market-layer rules on top of the paper's four placement rules
 These are plain :class:`~repro.constraints.base.Constraint` objects the
 :class:`~repro.market.broker.BrokeredAllocator` (and anyone else)
 scores alongside an instance's
-:class:`~repro.constraints.registry.ConstraintSet`; they deliberately
-do **not** extend :class:`~repro.types.PlacementRule`, so the paper's
-four-rule kernel/CP/tabu dispatch paths stay untouched and the
-single-provider pipeline remains byte-identical.
+:class:`~repro.constraints.registry.ConstraintSet`; they are not
+:class:`~repro.types.PlacementRule` members, so the paper's four-rule
+kernel/CP/tabu paths never see them and the single-provider pipeline
+remains byte-identical.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.constraints.affinity import _GroupConstraint, _distinct_per_row
 from repro.constraints.base import Constraint
 from repro.errors import ConstraintError
 from repro.model.placement import UNPLACED
 from repro.types import IntArray
 
-__all__ = [
-    "SameProviderConstraint",
-    "ProviderSpreadConstraint",
-    "ProviderQuotaConstraint",
-]
-
-
-class SameProviderConstraint(_GroupConstraint):
-    """QoS co-location: all placed group members inside one provider."""
-
-    name = "same_provider"
-
-    def __init__(self, members: tuple[int, ...], server_provider: IntArray) -> None:
-        super().__init__(members)
-        self._provider = np.asarray(server_provider, dtype=np.int64)
-
-    def violations(self, assignment: IntArray) -> int:
-        genes = self._member_genes(assignment)
-        placed = genes[genes != UNPLACED]
-        if placed.size <= 1:
-            return 0
-        return int(np.unique(self._provider[placed]).size - 1)
-
-    def batch_violations(self, population: IntArray) -> IntArray:
-        population = np.asarray(population, dtype=np.int64)
-        genes = population[:, self._idx]
-        if np.any(genes == UNPLACED):
-            return super().batch_violations(population)
-        return (_distinct_per_row(self._provider[genes]) - 1).astype(np.int64)
-
-
-class ProviderSpreadConstraint(_GroupConstraint):
-    """Availability separation: no two group members share a provider."""
-
-    name = "different_providers"
-
-    def __init__(self, members: tuple[int, ...], server_provider: IntArray) -> None:
-        super().__init__(members)
-        self._provider = np.asarray(server_provider, dtype=np.int64)
-
-    def violations(self, assignment: IntArray) -> int:
-        genes = self._member_genes(assignment)
-        placed = genes[genes != UNPLACED]
-        if placed.size <= 1:
-            return 0
-        return int(placed.size - np.unique(self._provider[placed]).size)
-
-    def batch_violations(self, population: IntArray) -> IntArray:
-        population = np.asarray(population, dtype=np.int64)
-        genes = population[:, self._idx]
-        if np.any(genes == UNPLACED):
-            return super().batch_violations(population)
-        distinct = _distinct_per_row(self._provider[genes])
-        return (genes.shape[1] - distinct).astype(np.int64)
+__all__ = ["ProviderQuotaConstraint"]
 
 
 class ProviderQuotaConstraint(Constraint):

@@ -15,39 +15,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.constraints.affinity import (
-    SameDatacenterConstraint,
-    SameServerConstraint,
-)
-from repro.constraints.anti_affinity import (
-    DifferentDatacentersConstraint,
-    DifferentServersConstraint,
-)
 from repro.constraints.assignment import AssignmentConstraint
 from repro.constraints.base import Constraint
 from repro.constraints.capacity import CapacityConstraint
-from repro.errors import UnknownRuleError
+from repro.constraints.rules import GroupConstraint
+from repro.engine import kernels
 from repro.model.infrastructure import Infrastructure
 from repro.model.request import PlacementGroup, Request
-from repro.types import FloatArray, IntArray, PlacementRule
+from repro.types import FloatArray, IntArray
 
 __all__ = ["ConstraintSet", "make_group_constraint"]
 
 
 def make_group_constraint(
     group: PlacementGroup, infrastructure: Infrastructure
-) -> Constraint:
-    """Instantiate the concrete constraint for one placement rule."""
+) -> GroupConstraint:
+    """The constraint of one placement group: its rule's kind, and the
+    server -> datacenter map for a datacenter-scoped rule."""
     rule = group.rule
-    if rule is PlacementRule.SAME_SERVER:
-        return SameServerConstraint(group.members)
-    if rule is PlacementRule.SAME_DATACENTER:
-        return SameDatacenterConstraint(group.members, infrastructure)
-    if rule is PlacementRule.DIFFERENT_SERVERS:
-        return DifferentServersConstraint(group.members)
-    if rule is PlacementRule.DIFFERENT_DATACENTERS:
-        return DifferentDatacentersConstraint(group.members, infrastructure)
-    raise UnknownRuleError(f"unhandled placement rule: {rule!r}")
+    return GroupConstraint(
+        group.members,
+        colocate=rule.is_affinity,
+        location_of=infrastructure.server_datacenter if rule.is_datacenter_scope else None,
+        name=rule.value,
+    )
 
 
 @dataclass
@@ -74,14 +65,14 @@ class ConstraintSet:
     #: Group constraint objects compiled once per instance (see
     #: :class:`repro.engine.CompiledProblem`); groups are stateless
     #: w.r.t. per-window dynamics, so sharing them is safe.
-    prebuilt_groups: tuple[Constraint, ...] | None = None
+    prebuilt_groups: tuple[GroupConstraint, ...] | None = None
 
     def __post_init__(self) -> None:
         self.capacity = CapacityConstraint(
             self.infrastructure, self.request.demand, base_usage=self.base_usage
         )
         if self.prebuilt_groups is not None:
-            self.group_constraints: tuple[Constraint, ...] = self.prebuilt_groups
+            self.group_constraints: tuple[GroupConstraint, ...] = self.prebuilt_groups
         else:
             self.group_constraints = tuple(
                 make_group_constraint(gr, self.infrastructure)
@@ -97,27 +88,20 @@ class ConstraintSet:
             self.load_cap = LoadCapConstraint(
                 self.infrastructure, self.request.demand, base_usage=self.base_usage
             )
-        self._group_layout = None
-        self._group_layout_built = False
+        self._group_layout: kernels.GroupLayout | None = None
 
     # ------------------------------------------------------------------
-    def group_layout(self):
+    def group_layout(self) -> kernels.GroupLayout:
         """Flattened group-index layout for :mod:`repro.engine.kernels`.
 
         Built lazily and cached (the groups are immutable per instance).
-        ``None`` when any group constraint is not one of the four
-        built-in rules — those score through their own
-        ``batch_violations`` instead.
         """
-        if not self._group_layout_built:
-            from repro.engine.kernels import GroupLayout
-
-            self._group_layout = GroupLayout.build(
-                self.group_constraints,
+        if self._group_layout is None:
+            self._group_layout = kernels.GroupLayout.from_groups(
+                self.request.groups,
                 self.infrastructure.server_datacenter,
                 self.infrastructure.m,
             )
-            self._group_layout_built = True
         return self._group_layout
 
     # ------------------------------------------------------------------
@@ -155,11 +139,14 @@ class ConstraintSet:
 
     # ------------------------------------------------------------------
     def batch_violations(self, population: IntArray) -> IntArray:
-        """Total violations per individual, shape (pop,)."""
+        """Total violations per individual, shape (pop,); every group
+        scored in one :func:`~repro.engine.kernels.batch_group_violations`
+        pass."""
         population = np.asarray(population, dtype=np.int64)
-        total = np.zeros(population.shape[0], dtype=np.int64)
-        for c in self.all_constraints:
-            total += c.batch_violations(population)
+        total = kernels.batch_group_violations(population, self.group_layout())
+        for c in (self.capacity, self.load_cap, self.assignment):
+            if c is not None:
+                total += c.batch_violations(population)
         return total
 
     def batch_feasible(self, population: IntArray) -> np.ndarray:

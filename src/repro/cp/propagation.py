@@ -16,23 +16,17 @@ Two layers, as in any CP solver:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
+from repro.constraints.rules import pigeonholed
 from repro.cp.domains import DomainStore
 from repro.model.infrastructure import Infrastructure
 from repro.model.request import Request
 from repro.types import FloatArray, PlacementRule
 
-__all__ = ["initial_prune", "propagate_assignment", "groups_by_member"]
-
-
-def groups_by_member(request: Request) -> list[list[int]]:
-    """Index: for each VM, the group ids it belongs to."""
-    index: list[list[int]] = [[] for _ in range(request.n)]
-    for gi, group in enumerate(request.groups):
-        for member in group.members:
-            index[member].append(gi)
-    return index
+__all__ = ["initial_prune", "propagate_assignment"]
 
 
 def initial_prune(
@@ -55,23 +49,16 @@ def initial_prune(
         if not domains.restrict_to(vm, fits[vm]):
             return False
 
-    # Anti-affinity pigeonhole: a DIFFERENT_DATACENTERS group larger
-    # than g (or DIFFERENT_SERVERS larger than m) cannot be satisfied.
-    for group in request.groups:
-        if group.rule is PlacementRule.DIFFERENT_DATACENTERS:
-            if group.size > infrastructure.g:
-                return False
-        elif group.rule is PlacementRule.DIFFERENT_SERVERS:
-            if group.size > infrastructure.m:
-                return False
-    return True
+    # Anti-affinity pigeonhole: a separation group larger than its
+    # scope's location count cannot be satisfied.
+    return not any(pigeonholed(group, infrastructure) for group in request.groups)
 
 
 def propagate_assignment(
     domains: DomainStore,
     infrastructure: Infrastructure,
     request: Request,
-    member_groups: list[list[int]],
+    member_groups: Sequence[Sequence[int]],
     assignment: np.ndarray,
     residual: FloatArray,
     vm: int,

@@ -16,11 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cp.domains import DomainStore
-from repro.cp.propagation import (
-    groups_by_member,
-    initial_prune,
-    propagate_assignment,
-)
+from repro.cp.propagation import initial_prune, propagate_assignment
 from repro.errors import ValidationError
 from repro.model.infrastructure import Infrastructure
 from repro.model.request import Request
@@ -105,10 +101,10 @@ class CPSearch:
         self.free_capacity = free
         if compiled is not None:
             self._rate = compiled.per_resource_rate
-            self._member_groups = [list(ids) for ids in compiled.member_groups]
+            self._member_groups = compiled.member_groups
         else:
             self._rate = infrastructure.operating_cost + infrastructure.usage_cost
-            self._member_groups = groups_by_member(request)
+            self._member_groups = request.groups_by_member()
         self.stats = SearchStats()
 
     # ------------------------------------------------------------------

@@ -22,8 +22,8 @@ import hashlib
 
 import numpy as np
 
-from repro.constraints.base import Constraint
 from repro.constraints.registry import ConstraintSet, make_group_constraint
+from repro.constraints.rules import GroupConstraint
 from repro.model.infrastructure import Infrastructure
 from repro.model.request import Request
 from repro.objectives.energy import power_model
@@ -55,14 +55,14 @@ class CompiledProblem:
     group_rules:
         The matching :class:`PlacementRule` per group.
     member_groups:
-        Per-VM tuple of group ids the VM belongs to (the CP search's
-        ``groups_by_member`` index, compiled once).
+        Per-VM tuple of group ids the VM belongs to
+        (:meth:`Request.groups_by_member`, compiled once).
     vm_group_slots:
         Per-VM tuple of ``(group_id, position)`` pairs locating the VM
         inside each of its groups' member arrays — the O(groups-of-vm)
         hook the incremental evaluator updates through.
     group_constraints:
-        Prebuilt :class:`Constraint` objects, shared by every
+        Prebuilt :class:`GroupConstraint` objects, shared by every
         :class:`ConstraintSet` bound from this compilation.
     fingerprint:
         Stable content hash of the instance; the cache key.
@@ -132,19 +132,12 @@ class CompiledProblem:
         self.group_rules: tuple[PlacementRule, ...] = tuple(
             gr.rule for gr in request.groups
         )
-        member_groups: list[list[int]] = [[] for _ in range(request.n)]
-        vm_slots: list[list[tuple[int, int]]] = [[] for _ in range(request.n)]
-        for gi, gr in enumerate(request.groups):
-            for pos, member in enumerate(gr.members):
-                member_groups[member].append(gi)
-                vm_slots[member].append((gi, pos))
-        self.member_groups: tuple[tuple[int, ...], ...] = tuple(
-            tuple(ids) for ids in member_groups
-        )
+        self.member_groups = request.groups_by_member()
         self.vm_group_slots: tuple[tuple[tuple[int, int], ...], ...] = tuple(
-            tuple(slots) for slots in vm_slots
+            tuple((gi, request.groups[gi].members.index(vm)) for gi in ids)
+            for vm, ids in enumerate(self.member_groups)
         )
-        self.group_constraints: tuple[Constraint, ...] = tuple(
+        self.group_constraints: tuple[GroupConstraint, ...] = tuple(
             make_group_constraint(gr, infrastructure) for gr in request.groups
         )
         self.fingerprint = self.fingerprint_of(infrastructure, request)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.constraints.rules import RULE_CODE, group_violations
+from repro.constraints.rules import group_violations
 from repro.errors import ValidationError
 from repro.model.placement import UNPLACED
 from repro.objectives.aggregate import aggregate_scalar
@@ -264,8 +264,13 @@ class IncrementalEvaluator:
         self._ml_list = np.asarray(infra.max_load, dtype=np.float64).tolist()
         self._mq_list = np.asarray(infra.max_qos, dtype=np.float64).tolist()
         self._base_list = self._base.tolist()
-        self._rule_codes = [RULE_CODE[rule] for rule in compiled.group_rules]
-        self._dc_list = compiled.server_datacenter.tolist()
+        # Per group: its rule's kind, and the server -> datacenter list
+        # for a datacenter-scoped rule (None: the server is the location).
+        dc_list = compiled.server_datacenter.tolist()
+        self._group_rules = [
+            (rule.is_affinity, dc_list if rule.is_datacenter_scope else None)
+            for rule in compiled.group_rules
+        ]
         self._cq_list = np.asarray(
             compiled.qos_guarantee, dtype=np.float64
         ).tolist()
@@ -334,9 +339,11 @@ class IncrementalEvaluator:
         self._group_viol = np.array(
             [
                 group_violations(
-                    code, self.assignment[members].tolist(), self._dc_list
+                    colocate, self.assignment[members].tolist(), location_of
                 )
-                for code, members in zip(self._rule_codes, compiled.group_members)
+                for (colocate, location_of), members in zip(
+                    self._group_rules, compiled.group_members
+                )
             ],
             dtype=np.int64,
         )
@@ -562,7 +569,8 @@ class IncrementalEvaluator:
         for gi, pos in compiled.vm_group_slots[vm]:
             genes = self.assignment[compiled.group_members[gi]].tolist()
             genes[pos] = new
-            viol = group_violations(self._rule_codes[gi], genes, self._dc_list)
+            colocate, location_of = self._group_rules[gi]
+            viol = group_violations(colocate, genes, location_of)
             d.group_viol[gi] = viol
             d.group_total += viol - int(self._group_viol[gi])
 

@@ -2,9 +2,18 @@
 
 Every population-level evaluation of the paper's constraints and
 objectives runs through these functions: the usage tensor (Eq. 4/16),
-the active-server mask, over-capacity cell counts, the four group rules
+the active-server mask, over-capacity cell counts, the group rules
 (Eq. 9-12) and the worst-attribute QoS (Eq. 24/25).  None of them loops
 over rows or groups in Python.
+
+A group rule is a kind (co-location or separation) over a scope
+(server or datacenter), both read from
+:class:`~repro.types.PlacementRule` by :meth:`GroupLayout.from_groups`.
+:func:`batch_group_violations` scores every group of an instance in
+one pass; :func:`group_row_violations` scores single groups from their
+member locations, for the tabu repair's recounts and for
+:class:`~repro.constraints.rules.GroupConstraint` (any location map,
+the market's provider scope included).
 
 Callers reach them through the module (``kernels.server_min_qos(...)``),
 looked up at call time, so :func:`repro.verify.kernels.reference_kernels`
@@ -37,17 +46,6 @@ __all__ = [
 ]
 
 
-#: Rule name -> (counts_distinct, uses_datacenter).  ``counts_distinct``
-#: rules charge ``max(distinct - 1, 0)``; the others charge
-#: ``placed - distinct`` (collision count).
-_RULE_TABLE = {
-    "same_server": (True, False),
-    "same_datacenter": (True, True),
-    "different_servers": (False, False),
-    "different_datacenters": (False, True),
-}
-
-
 @dataclass(frozen=True)
 class GroupLayout:
     """Flattened index structure over all placement groups of an instance.
@@ -56,7 +54,7 @@ class GroupLayout:
     :func:`batch_group_violations` score all groups of a whole
     population in one pass instead of one Python iteration per group.
     Built once per constraint set (the groups are immutable per
-    instance) by :meth:`build`.
+    instance) by :meth:`from_groups`.
     """
 
     #: (T,) concatenated member VM indices, in group order.
@@ -81,39 +79,10 @@ class GroupLayout:
         return int(self.offsets.shape[0] - 1)
 
     @staticmethod
-    def build(constraints, server_datacenter: IntArray, m: int) -> "GroupLayout | None":
-        """Layout for a sequence of built-in group constraints.
-
-        Returns ``None`` when any constraint is not one of the four
-        built-in rules (third-party extensions keep their own
-        ``batch_violations``) or when there are no groups.
-        """
-        if not constraints:
-            return None
-        members, rules = [], []
-        for constraint in constraints:
-            rule = getattr(constraint, "name", None)
-            idx = getattr(constraint, "_idx", None)
-            if rule not in _RULE_TABLE or idx is None:
-                return None
-            members.append(idx)
-            rules.append(rule)
-        return GroupLayout._assemble(members, rules, server_datacenter, m)
-
-    @staticmethod
     def from_groups(groups, server_datacenter: IntArray, m: int) -> "GroupLayout":
-        """Layout for a request's placement groups
-        (any number, none included)."""
-        return GroupLayout._assemble(
-            [group.members for group in groups],
-            [group.rule.value for group in groups],
-            server_datacenter,
-            m,
-        )
-
-    @staticmethod
-    def _assemble(members, rules, server_datacenter: IntArray, m: int) -> "GroupLayout":
-        parts = [np.asarray(part, dtype=np.int64) for part in members]
+        """Layout for a request's placement groups (any number, none
+        included); each group's flags are its rule's kind and scope."""
+        parts = [np.asarray(group.members, dtype=np.int64) for group in groups]
         sizes = np.array([part.shape[0] for part in parts], dtype=np.int64)
         offsets = np.zeros(sizes.shape[0] + 1, dtype=np.int64)
         np.cumsum(sizes, out=offsets[1:])
@@ -121,12 +90,15 @@ class GroupLayout:
         server_datacenter = np.asarray(server_datacenter, dtype=np.int64)
         max_dc = int(server_datacenter.max()) if server_datacenter.size else 0
         radix = max(int(m), max_dc + 1) + 1
+        rules = [group.rule for group in groups]
         return GroupLayout(
             members=np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64),
             segments=segments,
             offsets=offsets,
-            counts_distinct=np.array([_RULE_TABLE[r][0] for r in rules], dtype=bool),
-            uses_datacenter=np.array([_RULE_TABLE[r][1] for r in rules], dtype=bool),
+            counts_distinct=np.array([rule.is_affinity for rule in rules], dtype=bool),
+            uses_datacenter=np.array(
+                [rule.is_datacenter_scope for rule in rules], dtype=bool
+            ),
             server_datacenter=server_datacenter,
             radix=radix,
         )
@@ -222,9 +194,10 @@ def group_row_violations(
     :func:`batch_group_violations` scores a segment.
 
     Row k of ``locations`` (P, W) holds group k's member locations
-    (servers, or datacenters for a datacenter rule), with ``nowhere``,
-    greater than every location, for unplaced members and padding;
-    ``counts_distinct[k]`` is the group's rule kind.
+    (servers, datacenters or providers), with ``nowhere``, greater than
+    every location, for unplaced members and padding;
+    ``counts_distinct[k]`` (or one bool for every row) is the group's
+    rule kind.
     """
     keys = np.sort(locations, axis=1)
     placed = keys != nowhere
@@ -241,7 +214,7 @@ def _first_occurrences(keys: IntArray, placed: BoolArray) -> BoolArray:
 
 
 def _rule_charge(counts_distinct, distinct, placed):
-    """The four rules' charge from a group's distinct locations and
+    """A group rule's charge from its distinct locations and
     placed members: ``max(distinct - 1, 0)`` for the co-location rules,
     ``placed - distinct`` (collisions) for the others."""
     return np.where(counts_distinct, np.maximum(distinct - 1, 0), placed - distinct)

@@ -39,10 +39,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.allocator import Allocator, BatchOutcome
-from repro.constraints.provider import (
-    ProviderQuotaConstraint,
-    SameProviderConstraint,
-)
+from repro.constraints.provider import ProviderQuotaConstraint
+from repro.constraints.rules import GroupConstraint
 from repro.errors import ValidationError
 from repro.market.preferences import (
     PreferenceOrder,
@@ -268,12 +266,15 @@ class BrokeredAllocator:
             if providers.size == 1:
                 provider_of_request[r] = int(providers[0])
             elif self.qos_colocation:
-                # Same counting rule as SameProviderConstraint: extra
-                # distinct providers beyond the first are violations.
+                # Provider co-location: extra distinct providers beyond
+                # the first are violations.
                 members = tuple(np.flatnonzero(owner == r))
                 if len(members) >= 2:
-                    market_violations += SameProviderConstraint(
-                        members, provider_of_server
+                    market_violations += GroupConstraint(
+                        members,
+                        colocate=True,
+                        location_of=provider_of_server,
+                        name="same_provider",
                     ).violations(assignment)
 
         if self.quotas is not None:

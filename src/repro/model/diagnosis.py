@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.constraints.rules import pigeonholed
 from repro.model.infrastructure import Infrastructure
 from repro.model.request import Request
 from repro.types import PlacementRule
@@ -101,30 +102,22 @@ def diagnose_instance(
     # Group-level checks.
     for group in request.groups:
         members = group.members
-        if group.rule is PlacementRule.DIFFERENT_DATACENTERS:
-            if group.size > infrastructure.g:
-                findings.append(
-                    Finding(
-                        code="pigeonhole_datacenters",
-                        message=(
-                            f"group {members} needs {group.size} distinct "
-                            f"datacenters but only {infrastructure.g} exist"
-                        ),
-                        resources=members,
-                    )
+        if pigeonholed(group, infrastructure):
+            scope, count = (
+                ("datacenters", infrastructure.g)
+                if group.rule.is_datacenter_scope
+                else ("servers", infrastructure.m)
+            )
+            findings.append(
+                Finding(
+                    code=f"pigeonhole_{scope}",
+                    message=(
+                        f"group {members} needs {group.size} distinct "
+                        f"{scope} but only {count} exist"
+                    ),
+                    resources=members,
                 )
-        elif group.rule is PlacementRule.DIFFERENT_SERVERS:
-            if group.size > infrastructure.m:
-                findings.append(
-                    Finding(
-                        code="pigeonhole_servers",
-                        message=(
-                            f"group {members} needs {group.size} distinct "
-                            f"servers but only {infrastructure.m} exist"
-                        ),
-                        resources=members,
-                    )
-                )
+            )
         elif group.rule is PlacementRule.SAME_SERVER:
             combined = request.demand[list(members)].sum(axis=0)
             if not np.any(np.all(combined <= effective + 1e-9, axis=1)):

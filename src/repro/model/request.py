@@ -140,6 +140,14 @@ class Request:
         """All groups using ``rule``."""
         return tuple(gr for gr in self.groups if gr.rule is rule)
 
+    def groups_by_member(self) -> tuple[tuple[int, ...], ...]:
+        """Per resource, the ids of the groups it belongs to, in order."""
+        index: list[list[int]] = [[] for _ in range(self.n)]
+        for gi, group in enumerate(self.groups):
+            for member in group.members:
+                index[member].append(gi)
+        return tuple(tuple(ids) for ids in index)
+
     def total_demand(self) -> FloatArray:
         """Column sums of C — aggregate demand per attribute."""
         return self.demand.sum(axis=0)

@@ -198,15 +198,9 @@ class PopulationEvaluator:
         capacity = self.constraints.capacity
         usage = capacity.batch_usage(population)
         violations = kernels.batch_over_counts(usage, capacity._threshold)
-        layout = self.constraints.group_layout()
-        if layout is not None:
-            # One pass over every group of the whole population; the
-            # per-group loop below stays for third-party constraints,
-            # which have no layout.
-            violations += kernels.batch_group_violations(population, layout)
-        else:
-            for constraint in self.constraints.group_constraints:
-                violations += constraint.batch_violations(population)
+        violations += kernels.batch_group_violations(
+            population, self.constraints.group_layout()
+        )
         if self.constraints.load_cap is not None:
             violations += self.constraints.load_cap.batch_violations(population)
         if self.constraints.assignment is not None:

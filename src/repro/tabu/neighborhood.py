@@ -181,10 +181,7 @@ class NeighborFinder:
         )
         self.n_groups = groups = self.layout.n_groups
         self.members = self.layout.member_table(pad=n)
-        groups_of_vm: list[list[int]] = [[] for _ in range(n + 1)]
-        for gi, group in enumerate(request.groups):
-            for member in group.members:
-                groups_of_vm[member].append(gi)
+        groups_of_vm = request.groups_by_member() + ((),)
         self.vm_groups = np.full((max(1, *map(len, groups_of_vm)), n + 1), groups)
         for vm, ids in enumerate(groups_of_vm):
             self.vm_groups[: len(ids), vm] = ids

@@ -72,6 +72,15 @@ class PlacementRule(enum.Enum):
         """True for the two separation rules."""
         return not self.is_affinity
 
+    @property
+    def is_datacenter_scope(self) -> bool:
+        """True for the two rules whose location is a datacenter (Eq. 9,
+        11); the other two locate a member by its server."""
+        return self in (
+            PlacementRule.SAME_DATACENTER,
+            PlacementRule.DIFFERENT_DATACENTERS,
+        )
+
 
 class AlgorithmKind(enum.Enum):
     """The six allocation algorithms compared in Section IV."""

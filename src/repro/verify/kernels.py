@@ -48,13 +48,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.constraints.rules import (
-    DIFFERENT_DATACENTERS,
-    DIFFERENT_SERVERS,
-    SAME_DATACENTER,
-    SAME_SERVER,
-    group_violations,
-)
+from repro.constraints.rules import group_violations
 from repro.engine import kernels
 from repro.engine.compiled import CompiledProblem
 from repro.model.placement import UNPLACED
@@ -106,35 +100,25 @@ def _batch_over_counts(usage, threshold):
     return over.sum(axis=tuple(range(1, over.ndim))).astype(np.int64)
 
 
-#: (counts_distinct, uses_datacenter) -> rule code of
-#: :func:`repro.constraints.rules.group_violations`.
-_RULE_CODES = {
-    (True, False): SAME_SERVER,
-    (True, True): SAME_DATACENTER,
-    (False, False): DIFFERENT_SERVERS,
-    (False, True): DIFFERENT_DATACENTERS,
-}
-
-
 def _batch_group_violations(population, layout):
-    codes = [
-        _RULE_CODES[key]
-        for key in zip(
+    datacenter_of = layout.server_datacenter.tolist()
+    rules = [
+        (colocate, datacenter_of if per_datacenter else None)
+        for colocate, per_datacenter in zip(
             layout.counts_distinct.tolist(), layout.uses_datacenter.tolist()
         )
     ]
     bounds = layout.offsets.tolist()
     members = layout.members.tolist()
-    datacenter_of = layout.server_datacenter.tolist()
     out = np.zeros(population.shape[0], dtype=np.int64)
     for row, genome in enumerate(population.tolist()):
         out[row] = sum(
             group_violations(
-                code,
+                colocate,
                 [genome[vm] for vm in members[bounds[g] : bounds[g + 1]]],
-                datacenter_of,
+                location_of,
             )
-            for g, code in enumerate(codes)
+            for g, (colocate, location_of) in enumerate(rules)
         )
     return out
 

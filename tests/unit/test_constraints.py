@@ -7,10 +7,7 @@ from repro.constraints import (
     AssignmentConstraint,
     CapacityConstraint,
     ConstraintSet,
-    DifferentDatacentersConstraint,
-    DifferentServersConstraint,
-    SameDatacenterConstraint,
-    SameServerConstraint,
+    GroupConstraint,
     make_group_constraint,
 )
 from repro.errors import ConstraintError, DimensionError
@@ -101,69 +98,92 @@ class TestAssignment:
             AssignmentConstraint(3).violations(np.array([0, 1]))
 
 
+def _rule(rule, members, infrastructure):
+    return make_group_constraint(PlacementGroup(rule, members), infrastructure)
+
+
 class TestAffinityRules:
-    def test_same_server_counts_extra_locations(self):
-        constraint = SameServerConstraint((0, 1, 2))
+    def test_same_server_counts_extra_locations(self, small_infra):
+        constraint = _rule(PlacementRule.SAME_SERVER, (0, 1, 2), small_infra)
         assert constraint.violations(np.array([3, 3, 3])) == 0
         assert constraint.violations(np.array([3, 3, 4])) == 1
         assert constraint.violations(np.array([3, 4, 5])) == 2
 
-    def test_same_server_ignores_unplaced(self):
-        constraint = SameServerConstraint((0, 1))
+    def test_same_server_ignores_unplaced(self, small_infra):
+        constraint = _rule(PlacementRule.SAME_SERVER, (0, 1), small_infra)
         assert constraint.violations(np.array([UNPLACED, 3])) == 0
 
     def test_same_datacenter(self, small_infra):
-        constraint = SameDatacenterConstraint((0, 1), small_infra)
+        constraint = _rule(PlacementRule.SAME_DATACENTER, (0, 1), small_infra)
         assert constraint.violations(np.array([0, 3])) == 0  # both dc0
         assert constraint.violations(np.array([0, 4])) == 1  # dc0 vs dc1
 
-    def test_different_servers_counts_collisions(self):
-        constraint = DifferentServersConstraint((0, 1, 2))
+    def test_different_servers_counts_collisions(self, small_infra):
+        constraint = _rule(PlacementRule.DIFFERENT_SERVERS, (0, 1, 2), small_infra)
         assert constraint.violations(np.array([1, 2, 3])) == 0
         assert constraint.violations(np.array([1, 1, 3])) == 1
         assert constraint.violations(np.array([1, 1, 1])) == 2
 
     def test_different_datacenters(self, small_infra):
-        constraint = DifferentDatacentersConstraint((0, 1), small_infra)
+        constraint = _rule(PlacementRule.DIFFERENT_DATACENTERS, (0, 1), small_infra)
         assert constraint.violations(np.array([0, 4])) == 0
         assert constraint.violations(np.array([0, 3])) == 1  # both dc0
+
+    def test_same_provider_counts_extra_providers(self):
+        provider_of = np.array([0, 0, 1, 1, 2])
+        constraint = GroupConstraint(
+            (0, 1, 2), colocate=True, location_of=provider_of, name="same_provider"
+        )
+        assert constraint.violations(np.array([0, 1, 1])) == 0
+        assert constraint.violations(np.array([0, 2, UNPLACED])) == 1
+        assert constraint.violations(np.array([1, 3, 4])) == 2
 
     def test_batch_matches_single_for_all_rules(self, small_infra):
         rng = np.random.default_rng(2)
         population = rng.integers(0, 8, size=(30, 5))
         constraints = [
-            SameServerConstraint((0, 2, 4)),
-            SameDatacenterConstraint((1, 3), small_infra),
-            DifferentServersConstraint((0, 1, 2, 3)),
-            DifferentDatacentersConstraint((2, 4), small_infra),
+            _rule(PlacementRule.SAME_SERVER, (0, 2, 4), small_infra),
+            _rule(PlacementRule.SAME_DATACENTER, (1, 3), small_infra),
+            _rule(PlacementRule.DIFFERENT_SERVERS, (0, 1, 2, 3), small_infra),
+            _rule(PlacementRule.DIFFERENT_DATACENTERS, (2, 4), small_infra),
         ]
         for constraint in constraints:
             batch = constraint.batch_violations(population)
             single = [constraint.violations(row) for row in population]
             assert batch.tolist() == single, constraint.name
 
-    def test_batch_with_unplaced_falls_back(self, small_infra):
-        constraint = SameServerConstraint((0, 1))
+    def test_batch_with_unplaced_equals_rowwise(self, small_infra):
+        constraint = _rule(PlacementRule.SAME_SERVER, (0, 1), small_infra)
         population = np.array([[UNPLACED, 3], [2, 2]])
         assert constraint.batch_violations(population).tolist() == [0, 0]
+        rng = np.random.default_rng(5)
+        population = rng.integers(0, 8, size=(40, 5))
+        population[rng.random(population.shape) < 0.3] = UNPLACED
+        for rule in PlacementRule:
+            constraint = _rule(rule, (0, 1, 3, 4), small_infra)
+            single = [constraint.violations(row) for row in population]
+            assert constraint.batch_violations(population).tolist() == single, rule
 
-    def test_member_outside_genome_raises(self):
-        constraint = SameServerConstraint((0, 9))
+    def test_member_outside_genome_raises(self, small_infra):
+        constraint = _rule(PlacementRule.SAME_SERVER, (0, 9), small_infra)
         with pytest.raises(ConstraintError):
             constraint.violations(np.array([0, 1]))
+
+    @pytest.mark.parametrize("members", [(3,), (0, 1, 0)])
+    def test_short_or_duplicate_groups_rejected(self, members):
+        with pytest.raises(ConstraintError):
+            GroupConstraint(members, colocate=True, location_of=None, name="same_server")
 
 
 class TestFactoryAndSet:
     def test_factory_maps_all_rules(self, small_infra):
-        mapping = {
-            PlacementRule.SAME_SERVER: SameServerConstraint,
-            PlacementRule.SAME_DATACENTER: SameDatacenterConstraint,
-            PlacementRule.DIFFERENT_SERVERS: DifferentServersConstraint,
-            PlacementRule.DIFFERENT_DATACENTERS: DifferentDatacentersConstraint,
-        }
-        for rule, cls in mapping.items():
+        for rule in PlacementRule:
             group = PlacementGroup(rule, (0, 1))
-            assert isinstance(make_group_constraint(group, small_infra), cls)
+            constraint = make_group_constraint(group, small_infra)
+            assert isinstance(constraint, GroupConstraint)
+            assert constraint.name == rule.value
+            assert constraint.colocate is rule.is_affinity
+            assert (constraint.location_of is not None) is rule.is_datacenter_scope
 
     def test_set_composition(self, small_infra, small_request):
         constraint_set = ConstraintSet(small_infra, small_request)

@@ -115,6 +115,18 @@ class TestCPSolve:
         solution = CPSolver(small_infra, request).find_feasible()
         assert not solution.found and solution.proved
 
+    def test_pigeonhole_different_servers(self, small_infra):
+        # 9 resources must be on different servers but m = 8.
+        request = Request(
+            demand=np.ones((9, 3)),
+            qos_guarantee=np.full(9, 0.9),
+            downtime_cost=np.ones(9),
+            migration_cost=np.ones(9),
+            groups=(PlacementGroup(PlacementRule.DIFFERENT_SERVERS, tuple(range(9))),),
+        )
+        solution = CPSolver(small_infra, request).find_feasible()
+        assert not solution.found and solution.proved
+
     def test_node_limit_aborts(self, small_infra, small_request):
         solver = CPSolver(
             small_infra, small_request, limits=SearchLimits(max_nodes=1)

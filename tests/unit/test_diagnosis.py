@@ -57,6 +57,15 @@ class TestDiagnosis:
         findings = diagnose_instance(small_infra, request)
         assert any(f.code == "pigeonhole_datacenters" for f in findings)
 
+    def test_pigeonhole_servers(self, small_infra):
+        request = _request(
+            np.ones((9, 3)),
+            groups=(PlacementGroup(PlacementRule.DIFFERENT_SERVERS, tuple(range(9))),),
+        )
+        findings = diagnose_instance(small_infra, request)
+        assert [f.code for f in findings] == ["pigeonhole_servers"]
+        assert findings[0].message.endswith("needs 9 distinct servers but only 8 exist")
+
     def test_same_server_too_big(self, small_infra):
         biggest = small_infra.effective_capacity.max(axis=0)
         request = _request(

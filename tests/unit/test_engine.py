@@ -42,6 +42,8 @@ class TestCompiledProblem:
         assert compiled.member_groups[0] == (0,)
         assert compiled.member_groups[2] == (1,)
         assert compiled.member_groups[4] == ()
+        assert compiled.member_groups == small_request.groups_by_member()
+        assert len(compiled.member_groups) == small_request.n
         assert compiled.vm_group_slots[1] == ((0, 1),)
         assert compiled.vm_group_slots[3] == ((1, 1),)
 

@@ -17,9 +17,11 @@ import pytest
 from repro.constraints.base import Constraint
 from repro.constraints.capacity import CapacityConstraint
 from repro.constraints.load_cap import LoadCapConstraint
+from repro.constraints.rules import GroupConstraint
 from repro.engine import CompiledProblem, kernels
 from repro.engine.kernels import GroupLayout
 from repro.errors import DimensionError
+from repro.market import ProviderMarket
 from repro.model.placement import UNPLACED
 from repro.model.request import Request
 from repro.verify import check_kernel_conformance
@@ -131,7 +133,18 @@ class TestBatchViolationOverrides:
         rng = np.random.default_rng(3)
         population = rng.integers(0, compiled.m, size=(12, compiled.request.n))
         population[rng.random(population.shape) < 0.05] = UNPLACED
-        for constraint in (constraints.capacity, *constraints.group_constraints):
+        market = ProviderMarket.from_infrastructure(compiled.infrastructure, 3)
+        provider_of = market.compile().infrastructure.provider_of_server
+        assert np.unique(provider_of).size == 3
+        same_provider = GroupConstraint(
+            (0, 3, 5, 7, 11), colocate=True, location_of=provider_of, name="same_provider"
+        )
+        assert (population[:, same_provider.members] == UNPLACED).any()
+        for constraint in (
+            constraints.capacity,
+            *constraints.group_constraints,
+            same_provider,
+        ):
             vectorized = constraint.batch_violations(population)
             fallback = Constraint.batch_violations(constraint, population)
             assert vectorized.tolist() == fallback.tolist(), constraint.name
@@ -172,13 +185,13 @@ class TestGroupLayout:
         compiled = CompiledProblem.compile(scenario.infrastructure, merged)
         constraints = compiled.constraint_set()
         if not constraints.group_constraints:
-            assert constraints.group_layout() is None
+            assert constraints.group_layout().n_groups == 0
 
     def test_layout_counts_match_constraints(self):
         compiled = _compiled(servers=8, vms=24, seed=11)
         constraints = compiled.constraint_set()
         layout = constraints.group_layout()
-        if layout is None:
+        if layout.n_groups == 0:
             pytest.skip("fuzzed instance drew no placement groups")
         assert isinstance(layout, GroupLayout)
         assert layout.n_groups == len(constraints.group_constraints)
